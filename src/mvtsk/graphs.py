@@ -4,6 +4,10 @@ Two quadratic penalties are built from a p-nearest-neighbor Gaussian graph:
 the Laplacian smoothness operator L (pairwise first-order similarity) and
 the local-reconstruction operator (I - G)^T (I - G) (second-order: each
 instance vs. the weighted combination of its neighbors).
+
+Neighbors are chosen by partitioning each row of the dense distance matrix
+at its p-th smallest distance, in O(N^2) time and memory like the dense
+operators they feed.  Ties at the p-th distance go to the lowest index.
 """
 
 from __future__ import annotations
@@ -59,14 +63,19 @@ def knn_graph(points: np.ndarray, p: int, bandwidth="median") -> SimilarityGraph
     p = int(min(max(p, 1), n - 1))
 
     dist = cdist(points, points)
-    # stable argsort keeps neighbor choice deterministic under ties
-    order = np.argsort(dist, axis=1, kind="stable")
-    neighbor_idx = np.empty((n, p), dtype=int)
-    for i in range(n):
-        row = order[i]
-        neighbor_idx[i] = row[row != i][:p]
+    np.fill_diagonal(dist, np.inf)  # never self; duplicate points still count
+    kth = np.partition(dist, p - 1, axis=1)[:, p - 1 : p]
+    chosen = dist <= kth
+    # rows with more than p entries at distance <= kth tie at kth: keep the
+    # lowest-index tied columns, as a stable sort by distance would
+    surplus = np.flatnonzero(chosen.sum(axis=1) > p)
+    if surplus.size:
+        sub, sub_kth = dist[surplus], kth[surplus]
+        tied = sub == sub_kth
+        room = p - (sub < sub_kth).sum(axis=1, keepdims=True)
+        chosen[surplus] &= ~(tied & (np.cumsum(tied, axis=1) > room))
 
-    used = dist[np.repeat(np.arange(n), p), neighbor_idx.ravel()]
+    used = dist[chosen]
     if bandwidth == "median":
         sigma = float(np.median(used))
         if sigma <= 0.0:
@@ -81,8 +90,7 @@ def knn_graph(points: np.ndarray, p: int, bandwidth="median") -> SimilarityGraph
             raise ValueError(f"bandwidth must be positive, got {sigma}")
 
     weights = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), p)
-    weights[rows, neighbor_idx.ravel()] = np.exp(-(used**2) / (2.0 * sigma**2))
+    weights[chosen] = np.exp(-(used**2) / (2.0 * sigma**2))
     return SimilarityGraph(weights, p, sigma)
 
 
@@ -99,12 +107,13 @@ def row_normalize(weights: np.ndarray) -> np.ndarray:
     return weights / safe
 
 
-def reconstruction_operator(graph: SimilarityGraph) -> np.ndarray:
+def reconstruction_operator(graph: SimilarityGraph, coefficients=None) -> np.ndarray:
     """(I - G)^T (I - G) with G row-normalized; symmetric PSD.
 
-    The zero graph yields the identity.
+    ``coefficients`` is ``row_normalize(graph.weights)`` when the caller has
+    it already.  The zero graph yields the identity.
     """
-    coeff = row_normalize(graph.weights)
+    coeff = row_normalize(graph.weights) if coefficients is None else coefficients
     lam = np.eye(coeff.shape[0]) - coeff
     return lam.T @ lam
 
@@ -112,9 +121,10 @@ def reconstruction_operator(graph: SimilarityGraph) -> np.ndarray:
 def build_operators(points: np.ndarray, p: int, bandwidth="median") -> GraphOperators:
     """Convenience: graph from points, then both operators."""
     graph = knn_graph(points, p, bandwidth)
+    coeff = row_normalize(graph.weights)
     return GraphOperators(
         laplacian=laplacian(graph),
-        reconstruction=reconstruction_operator(graph),
-        coefficients=row_normalize(graph.weights),
+        reconstruction=reconstruction_operator(graph, coeff),
+        coefficients=coeff,
         raw_weights=graph.weights,
     )

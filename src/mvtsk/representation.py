@@ -66,6 +66,8 @@ class DualRepConfig:
             raise ValueError("m must be >= 1")
         if min(self.lam1, self.lam2, self.lam3) < 0:
             raise ValueError("regularization weights must be nonnegative")
+        if self.p < 1:
+            raise ValueError("p must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.ridge <= 0:

@@ -4,7 +4,47 @@ Everything here is written the slow, obvious way (explicit loops, double
 sums, rule-by-rule evaluation) so it shares no code path with the package.
 """
 
+import warnings
+
 import numpy as np
+from scipy.spatial.distance import cdist
+
+from mvtsk.dataset import DegeneracyWarning
+
+
+# ---------------------------------------------------------------------------
+# p-NN graph by full stable sort (lowest index first among equal distances)
+# ---------------------------------------------------------------------------
+
+def knn_graph_by_sort(points, p, bandwidth="median"):
+    """(weights, p, bandwidth) of the p-NN Gaussian graph, choosing each
+    row's neighbors by a stable argsort of its distances and a row loop."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n = points.shape[0]
+    if n == 1:
+        return np.zeros((1, 1)), 0, 1.0
+    p = int(min(max(p, 1), n - 1))
+
+    dist = cdist(points, points)
+    order = np.argsort(dist, axis=1, kind="stable")
+    neighbor_idx = np.empty((n, p), dtype=int)
+    for i in range(n):
+        row = order[i]
+        neighbor_idx[i] = row[row != i][:p]
+
+    used = dist[np.repeat(np.arange(n), p), neighbor_idx.ravel()]
+    if bandwidth == "median":
+        sigma = float(np.median(used))
+        if sigma <= 0.0:
+            warnings.warn("all neighbor distances are zero", DegeneracyWarning)
+            sigma = 1.0
+    else:
+        sigma = float(bandwidth)
+
+    weights = np.zeros((n, n))
+    rows = np.repeat(np.arange(n), p)
+    weights[rows, neighbor_idx.ravel()] = np.exp(-(used**2) / (2.0 * sigma**2))
+    return weights, p, sigma
 
 
 # ---------------------------------------------------------------------------

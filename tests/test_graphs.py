@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvtsk.dataset import DegeneracyWarning
 from mvtsk.graphs import (
@@ -51,6 +55,68 @@ class TestKnnGraph:
     def test_single_point_empty_graph(self):
         g = knn_graph(np.array([[1.0, 2.0]]), p=5)
         assert g.weights.shape == (1, 1) and g.weights[0, 0] == 0.0
+
+
+def neighbors(graph):
+    return [list(np.flatnonzero(row)) for row in graph.weights]
+
+
+class TestTieRule:
+    """Among equal distances the lowest index is chosen first."""
+
+    def test_equidistant_pair_picks_lower_index(self):
+        g = knn_graph(np.array([[0.0], [-1.0], [1.0]]), p=1, bandwidth=1.0)
+        assert neighbors(g)[0] == [1]
+
+    def test_identical_points_pick_lowest_other_indices(self):
+        g = knn_graph(np.ones((4, 2)), p=2, bandwidth=1.0)
+        assert neighbors(g) == [[1, 2], [0, 2], [0, 1], [0, 1]]
+
+    def test_strictly_nearer_beats_lower_index(self):
+        # row 3 is at distance 1 from rows 0 and 2 and 0.5 from row 4
+        pts = np.array([[2.0], [9.0], [4.0], [3.0], [3.5]])
+        g = knn_graph(pts, p=2, bandwidth=1.0)
+        assert neighbors(g)[3] == [0, 4]
+
+
+@st.composite
+def point_sets(draw):
+    """Small point sets rich in distance ties, with p and a bandwidth mode."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=(n, d))
+    kind = draw(st.sampled_from(["continuous", "rounded", "duplicated", "identical"]))
+    if kind == "rounded":
+        pts = np.round(2.0 * pts) / 2.0
+    elif kind == "duplicated":
+        pts = pts[rng.integers(0, draw(st.integers(1, n)), size=n)]
+    elif kind == "identical":
+        pts = np.repeat(pts[:1], n, axis=0)
+    p = draw(st.integers(1, n + 2))
+    bandwidth = draw(st.sampled_from(["median", 0.5, 2.0]))
+    return pts, p, bandwidth
+
+
+def degeneracy_warned(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, any(issubclass(w.category, DegeneracyWarning) for w in caught)
+
+
+class TestMatchesSortOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets())
+    def test_bit_identical_to_stable_sort(self, case):
+        pts, p, bandwidth = case
+        g, warned = degeneracy_warned(lambda: knn_graph(pts, p, bandwidth))
+        (weights, ref_p, ref_bw), ref_warned = degeneracy_warned(
+            lambda: oracles.knn_graph_by_sort(pts, p, bandwidth)
+        )
+        assert np.array_equal(g.weights, weights)
+        assert g.p == ref_p and g.bandwidth == ref_bw
+        assert warned == ref_warned
 
 
 class TestLaplacian:

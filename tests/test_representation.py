@@ -40,6 +40,16 @@ def small_cfg(**over):
     return DualRepConfig(**base)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_nonpositive_p_rejected(self, p):
+        with pytest.raises(ValueError, match="p must be"):
+            DualRepConfig(p=p)
+
+    def test_p_one_accepted(self):
+        assert DualRepConfig(p=1).p == 1
+
+
 class TestInit:
     def test_determinism(self):
         ds = planted()
