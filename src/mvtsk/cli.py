@@ -127,36 +127,74 @@ def _grid_overrides(grid: dict):
 
 
 def _apply_overrides(rep_cfg, ens_cfg, overrides):
-    rep_d, ens_d = rep_cfg.to_dict(), ens_cfg.to_dict()
+    sections = {"representation": rep_cfg.to_dict(), "ensemble": ens_cfg.to_dict()}
     for key, value in overrides.items():
-        section, name = key.split(".", 1)
-        if section == "representation":
-            rep_d[name] = value
-        elif section == "ensemble":
-            ens_d[name] = value
-        else:
-            raise ValueError(f"unknown grid section {section!r} in {key!r}")
-    return DualRepConfig.from_dict(rep_d), EnsembleConfig.from_dict(ens_d)
+        section, _, name = key.partition(".")
+        if name not in sections.get(section, {}):
+            raise ValueError(
+                f"unknown grid key {key!r}; expected representation.<name> or ensemble.<name>"
+            )
+        sections[section][name] = value
+    try:
+        return (DualRepConfig.from_dict(sections["representation"]),
+                EnsembleConfig.from_dict(sections["ensemble"]))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"grid point {overrides}: {exc}") from None
 
 
-def _run_cell(ds, rate, rep, rep_cfg, ens_cfg, test_fraction, root_seed, rate_idx, grid):
+def _grid_points(grid, rep_cfg, ens_cfg) -> list:
+    """Every grid point's overrides in selection order, each checked by
+    building its two configs; raises ValueError naming a bad key or value."""
+    if not isinstance(grid, dict):
+        raise ValueError("the grid must be a JSON object mapping section.name to a list")
+    for key, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"grid key {key!r}: expected a non-empty list, got {values!r}")
+    points = list(_grid_overrides(grid)) if grid else []
+    for overrides in points:
+        _apply_overrides(rep_cfg, ens_cfg, overrides)
+    return points
+
+
+def _select(sub_tr, sub_val, rep_cfg, ens_cfg, points):
+    """The first grid point with the best validation accuracy.
+
+    Stage 1 depends only on the representation.* overrides, so it is fit and
+    applied to ``sub_val`` once per distinct setting of them; each point then
+    trains only its ensemble.
+    """
+    stage1 = {}
+    best = None
+    for overrides in points:
+        r_cfg, e_cfg = _apply_overrides(rep_cfg, ens_cfg, overrides)
+        key = json.dumps(
+            {k: v for k, v in overrides.items() if k.startswith("representation.")},
+            sort_keys=True,
+        )
+        if key not in stage1:
+            fitted = _pipeline.train_representation(sub_tr, r_cfg)
+            stage1[key] = (fitted, _pipeline.transform_dataset(fitted, sub_val))
+        fitted, val_rep = stage1[key]
+        model = _pipeline.train_ensemble(fitted, sub_tr, e_cfg)
+        _, val_pred = _classifier.predict(model.ensemble, model.rep_model, sub_val,
+                                          rep_result=val_rep)
+        acc = _metrics.accuracy(sub_val.labels, val_pred)
+        if best is None or acc > best[0]:
+            best = (acc, overrides)
+    return best[1]
+
+
+def _run_cell(ds, rate, rep, rep_cfg, ens_cfg, test_fraction, root_seed, rate_idx, points):
     seeds = [_pipeline.derive_seed(root_seed, rate_idx, rep, j) for j in range(4)]
     masked = _dataset.apply_mask(ds, rate, seeds[0])
     train, test = _dataset.split_train_test(masked, test_fraction, seeds[1], stratified=True)
     rep_cfg = _with_seed(rep_cfg, seeds[2])
     ens_cfg = _with_seed(ens_cfg, seeds[3])
 
-    if grid:
+    if points:
         sub_tr, sub_val = _dataset.split_train_test(train, 0.2, seeds[1], stratified=True)
-        best = None
-        for overrides in _grid_overrides(grid):
-            r_cfg, e_cfg = _apply_overrides(rep_cfg, ens_cfg, overrides)
-            model = _pipeline.train_model(sub_tr, r_cfg, e_cfg)
-            _, val_pred = _pipeline.predict_model(model, sub_val)
-            acc = _metrics.accuracy(sub_val.labels, val_pred)
-            if best is None or acc > best[0]:
-                best = (acc, overrides)
-        rep_cfg, ens_cfg = _apply_overrides(rep_cfg, ens_cfg, best[1])
+        best = _select(sub_tr, sub_val, rep_cfg, ens_cfg, points)
+        rep_cfg, ens_cfg = _apply_overrides(rep_cfg, ens_cfg, best)
 
     model = _pipeline.train_model(train, rep_cfg, ens_cfg)
     scores, pred = _pipeline.predict_model(model, test)
@@ -173,11 +211,18 @@ def cmd_bench(args) -> int:
     rates = [float(x) for x in args.rates.split(",")]
     if any(not 0.0 <= r < 1.0 for r in rates):
         raise ValueError(f"rates must lie in [0, 1): {rates}")
-    grid = None
+    if args.reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {args.reps}")
+    test_fraction = (
+        args.test_fraction if args.test_fraction is not None
+        else doc.get("test_fraction", 0.3)
+    )
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test fraction must lie in (0, 1), got {test_fraction}")
+    points = None
     if args.grid:
         with open(args.grid) as fh:
-            grid = json.load(fh)
-    test_fraction = args.test_fraction or doc.get("test_fraction", 0.3)
+            points = _grid_points(json.load(fh), rep_cfg, ens_cfg)
     ds = _dataset.load_dataset(args.manifest)
     os.makedirs(args.out, exist_ok=True)
 
@@ -188,7 +233,7 @@ def cmd_bench(args) -> int:
             try:
                 cell = _run_cell(
                     ds, rate, rep, rep_cfg, ens_cfg, test_fraction,
-                    args.seed, rate_idx, grid,
+                    args.seed, rate_idx, points,
                 )
                 reports[rate].add(cell["acc"], cell["auc"], cell["f1"])
                 rows.append((rate, rep, cell["acc"], cell["auc"], cell["f1"]))

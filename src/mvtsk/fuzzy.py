@@ -151,13 +151,18 @@ def fuzzy_map(X: np.ndarray, ant: Antecedent) -> np.ndarray:
 
     Block k of a mapped row is the normalized firing strength of rule k
     times [1, x].  For K = 1 this is exactly [1, X].
+
+    Subnormal entries (0 < |x| < tiny), left where a rule's firing strength
+    underflows, are set to 0: they are negligible, and arithmetic on them is
+    many times slower in every product with the mapped features.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     _, norm = firing_matrix(X, ant)
     xe = np.hstack([np.ones((n, 1)), X])
-    blocks = norm[:, :, None] * xe[:, None, :]  # N x K x (1+d)
-    return blocks.reshape(n, ant.n_rules * (1 + d))
+    mapped = (norm[:, :, None] * xe[:, None, :]).reshape(n, ant.n_rules * (1 + d))
+    mapped[(np.abs(mapped) < np.finfo(float).tiny) & (mapped != 0.0)] = 0.0
+    return mapped
 
 
 def tsk_output(X_g: np.ndarray, P_g: np.ndarray) -> np.ndarray:

@@ -27,14 +27,21 @@ from mvtsk.representation import DualRepConfig, DualRepModel, TransformResult
 
 
 @dataclass
-class TrainedModel:
-    """Everything needed to score new manifests and explain decisions."""
+class Stage1Model:
+    """Stage 1 of a model: the normalization statistics and the trained
+    representation model, which is all ``transform_dataset`` reads."""
 
     view_names: list
     view_dims: list
     n_classes: int
     normalization: NormalizationStats
     rep_model: DualRepModel
+
+
+@dataclass
+class TrainedModel(Stage1Model):
+    """Everything needed to score new manifests and explain decisions."""
+
     ensemble: ViewEnsemble
 
 
@@ -43,21 +50,33 @@ def derive_seed(root_seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(root_seed, spawn_key=tuple(key)).generate_state(1)[0])
 
 
+def train_representation(ds: MultiViewDataset, rep_cfg: DualRepConfig) -> Stage1Model:
+    """Normalize and learn representations/imputations (stage 1)."""
+    stats = fit_normalizer(ds)
+    rep_model = representation.fit(apply_normalizer(ds, stats), rep_cfg)
+    return Stage1Model([vb.name for vb in ds.views], ds.dims, ds.n_classes, stats, rep_model)
+
+
+def train_ensemble(
+    stage1: Stage1Model, ds: MultiViewDataset, ens_cfg: EnsembleConfig
+) -> TrainedModel:
+    """Train the ensemble (stage 2) on the dataset ``stage1`` was trained on.
+
+    ``stage1`` is only read, so one stage-1 model can back many ensembles.
+    """
+    Y = one_hot(ds.labels, ds.n_classes)
+    ensemble = classifier.fit(stage1.rep_model, ds, Y, ens_cfg)
+    return TrainedModel(**vars(stage1), ensemble=ensemble)
+
+
 def train_model(
     ds: MultiViewDataset, rep_cfg: DualRepConfig, ens_cfg: EnsembleConfig
 ) -> TrainedModel:
     """Normalize, learn representations/imputations, train the ensemble."""
-    stats = fit_normalizer(ds)
-    normed = apply_normalizer(ds, stats)
-    rep_model = representation.fit(normed, rep_cfg)
-    Y = one_hot(normed.labels, normed.n_classes)
-    ensemble = classifier.fit(rep_model, normed, Y, ens_cfg)
-    return TrainedModel(
-        [vb.name for vb in ds.views], ds.dims, ds.n_classes, stats, rep_model, ensemble
-    )
+    return train_ensemble(train_representation(ds, rep_cfg), ds, ens_cfg)
 
 
-def transform_dataset(model: TrainedModel, ds: MultiViewDataset) -> TransformResult:
+def transform_dataset(model: Stage1Model, ds: MultiViewDataset) -> TransformResult:
     """Normalize and represent a new dataset under the trained model."""
     if ds.dims != model.view_dims:
         for name, want, got in zip(model.view_names, model.view_dims, ds.dims):

@@ -9,7 +9,10 @@ import warnings
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from mvtsk.cli import _apply_overrides
 from mvtsk.dataset import DegeneracyWarning
+from mvtsk.metrics import accuracy
+from mvtsk.pipeline import predict_model, train_model
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +213,23 @@ def linear_classifier_accuracy(X, labels, n_classes):
     W, *_ = np.linalg.lstsq(Xa, Y, rcond=None)
     pred = np.argmax(Xa @ W, axis=1)
     return float(np.mean(pred == labels))
+
+
+# ---------------------------------------------------------------------------
+# bench grid selection by retraining both stages at every grid point
+# ---------------------------------------------------------------------------
+
+def select_by_retraining(sub_tr, sub_val, rep_cfg, ens_cfg, points):
+    """The first grid point with the best validation accuracy, training a
+    whole model (stage 1 included) and transforming sub_val at every point.
+    It necessarily runs the package's training; what it does not share is
+    reuse of a stage-1 model or transform across points."""
+    best = None
+    for overrides in points:
+        r_cfg, e_cfg = _apply_overrides(rep_cfg, ens_cfg, overrides)
+        model = train_model(sub_tr, r_cfg, e_cfg)
+        _, val_pred = predict_model(model, sub_val)
+        acc = accuracy(sub_val.labels, val_pred)
+        if best is None or acc > best[0]:
+            best = (acc, overrides)
+    return best[1]

@@ -4,8 +4,12 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+from mvtsk import cli, representation
+from mvtsk.classifier import EnsembleConfig
 from mvtsk.cli import main
-from mvtsk.dataset import gen_synthetic, load_dataset, save_dataset
+from mvtsk.dataset import gen_synthetic, load_dataset, save_dataset, split_train_test
+from mvtsk.representation import DualRepConfig
 
 
 @pytest.fixture
@@ -148,6 +152,74 @@ class TestBench:
         errors = json.loads((out / "errors.json").read_text())
         assert len(errors) == 2
         assert all("error" in e for e in errors)
+
+
+class TestBenchGrid:
+    ENSEMBLE_GRID = {"ensemble.K": [2, 3], "ensemble.gamma": [1.0, 4.0]}
+    MIXED_GRID = {"ensemble.K": [2, 3], "representation.lam2": [0.03125, 0.25]}
+
+    def _bench(self, manifest, config, tmp_path, grid, name, *extra):
+        grid_path = tmp_path / f"{name}.grid.json"
+        grid_path.write_text(json.dumps(grid))
+        out = tmp_path / name
+        rc = main(["bench", manifest, "--rates", "0.1,0.4", "--reps", "2", "--config", config,
+                   "--grid", str(grid_path), "--seed", "5", "--out", str(out), *extra])
+        return rc, out
+
+    @pytest.mark.parametrize("grid", [ENSEMBLE_GRID, MIXED_GRID])
+    def test_outputs_match_retraining_every_point(
+        self, synth_manifest, fast_config, tmp_path, monkeypatch, grid
+    ):
+        rc, out = self._bench(synth_manifest, fast_config, tmp_path, grid, "reuse")
+        assert rc == 0
+        monkeypatch.setattr(cli, "_select", oracles.select_by_retraining)
+        rc, ref = self._bench(synth_manifest, fast_config, tmp_path, grid, "retrain")
+        assert rc == 0
+        for name in ("results.csv", "aggregate.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+    @pytest.mark.parametrize("grid, fits_per_cell", [(ENSEMBLE_GRID, 2), (MIXED_GRID, 3)])
+    def test_stage1_fit_once_per_representation_setting(
+        self, synth_manifest, fast_config, tmp_path, monkeypatch, grid, fits_per_cell
+    ):
+        fits = []
+        fit = representation.fit
+        monkeypatch.setattr(representation, "fit", lambda *a: fits.append(1) or fit(*a))
+        rc, _ = self._bench(synth_manifest, fast_config, tmp_path, grid, "counted")
+        assert rc == 0
+        assert len(fits) == 4 * fits_per_cell  # 2 rates x 2 reps
+
+    def test_validation_tie_goes_to_first_point(self, synth_manifest):
+        # the ensemble seed is unused in training, so points differing only
+        # in it tie exactly; the winner must be the first of its tie
+        ds = load_dataset(synth_manifest)
+        sub_tr, sub_val = split_train_test(ds, 0.3, 4, stratified=True)
+        rep_cfg = DualRepConfig(m=2, lam1=0.0, lam2=0.03125, lam3=0.03125, p=5, max_iters=5)
+        ens_cfg = EnsembleConfig(K=2, gamma=4.0, delta=0.5, max_iters=10)
+        points = list(cli._grid_overrides({"ensemble.seed": [6, 5], "ensemble.K": [2, 3]}))
+        best = cli._select(sub_tr, sub_val, rep_cfg, ens_cfg, points)
+        assert best["ensemble.seed"] == 6
+        assert best == oracles.select_by_retraining(sub_tr, sub_val, rep_cfg, ens_cfg, points)
+
+    @pytest.mark.parametrize("grid, extra, named", [
+        ({"K": [2, 4]}, [], "'K'"),
+        ({"ensemble.KK": [2]}, [], "'ensemble.KK'"),
+        ({"ensemble.K": 2}, [], "'ensemble.K'"),
+        ({"ensemble.K": []}, [], "'ensemble.K'"),
+        ({"ensemble.K": [2, 0]}, [], "K must be >= 1"),
+        ({"representation.m": ["two"]}, [], "'representation.m'"),
+        (ENSEMBLE_GRID, ["--reps", "0"], "--reps"),
+        (ENSEMBLE_GRID, ["--test-fraction", "0"], "test fraction"),
+        (ENSEMBLE_GRID, ["--test-fraction", "1"], "test fraction"),
+    ])
+    def test_bad_inputs_rejected_before_any_cell(
+        self, synth_manifest, fast_config, tmp_path, capsys, grid, extra, named
+    ):
+        rc, out = self._bench(synth_manifest, fast_config, tmp_path, grid, "bad", *extra)
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and named in err
 
 
 class TestStats:

@@ -144,6 +144,22 @@ class TestFuzzyMap:
         assert Xg.shape == (1, 4)
         assert Xg[0] == pytest.approx([0.7310586, 0.0, 0.2689414, 0.0], abs=1e-6)
 
+    def test_underflowing_rules_leave_no_subnormals(self):
+        # narrow, well-separated rules: between x = 0.4256 and 0.4292 the
+        # far rule's normalized strength exp(-5000(1 - 2x)) is subnormal,
+        # and below that it underflows to 0
+        tiny = np.finfo(float).tiny
+        ant = Antecedent([[0.0], [1.0]], [[1e-4], [1e-4]])
+        X = np.linspace(0.0, 1.0, 1001)[:, None]
+        _, norm = firing_matrix(X, ant)
+        assert ((norm > 0) & (norm < tiny)).any()
+        assert np.max(np.abs(norm.sum(axis=1) - 1.0)) <= 1e-12
+        Xg = fuzzy_map(X, ant)
+        assert not ((Xg != 0) & (np.abs(Xg) < tiny)).any()
+        product = (norm[:, :, None] * np.hstack([np.ones_like(X), X])[:, None, :]).reshape(-1, 4)
+        expected = np.where(np.abs(product) < tiny, 0.0, product)
+        assert np.array_equal(Xg, expected)
+
 
 class TestTskOutput:
     def test_zero_consequent(self):
