@@ -19,7 +19,7 @@ import numpy as np
 
 from mvtsk.dataset import MultiViewDataset
 from mvtsk.fuzzy import estimate_antecedent, fuzzy_map
-from mvtsk.representation import DualRepModel, TransformResult, transform
+from mvtsk.representation import DualRepModel
 
 
 @dataclass
@@ -60,18 +60,6 @@ class EnsembleConfig:
         if self.alignment not in ("mean", "sum"):
             raise ValueError(f"alignment must be 'mean' or 'sum', got {self.alignment!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "K": self.K, "beta": self.beta, "gamma": self.gamma, "delta": self.delta,
-            "max_iters": self.max_iters, "tol": self.tol, "alignment": self.alignment,
-            "h": self.h, "use_common": self.use_common, "use_specific": self.use_specific,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnsembleConfig":
-        return cls(**d)
-
 
 @dataclass
 class ViewEnsemble:
@@ -94,29 +82,22 @@ class ViewEnsemble:
         return len(self.roles)
 
 
-def design_matrices(source, cfg: EnsembleConfig):
+def design_matrices(rep: DualRepModel, cfg: EnsembleConfig):
     """Raw (unmapped) design matrices and their role names.
 
-    ``source`` is a trained model or a transform result; both carry the
-    imputed views Xt, the specific representations Hs, and the common
-    representation Hc.
+    ``rep`` is a trained model or a transform of new data: the imputed views
+    Xt, then the common representation Hc and the concatenated specific
+    representations Hs as instances x features.  The imputed views are named
+    view0, view1, ...; ``fit`` names them after the dataset's views.
     """
-    mats = [xt.copy() for xt in source.Xt]
-    roles = list(getattr(source, "view_names", [f"view{v}" for v in range(len(mats))]))
+    mats = [xt.copy() for xt in rep.Xt]
+    roles = [f"view{v}" for v in range(len(mats))]
     if cfg.use_common:
-        mats.append(source.Hc.T.copy())
+        mats.append(rep.Hc.T.copy())
         roles.append("common")
     if cfg.use_specific:
-        mats.append(np.hstack([h.T for h in source.Hs]))
+        mats.append(np.hstack([h.T for h in rep.Hs]))
         roles.append("specific")
-    return mats, roles
-
-
-def assemble_views(model: DualRepModel, ds: MultiViewDataset, cfg: EnsembleConfig):
-    """Training design matrices with the dataset's view names attached."""
-    mats, roles = design_matrices(model, cfg)
-    for v in range(ds.n_views):
-        roles[v] = ds.views[v].name
     return mats, roles
 
 
@@ -209,7 +190,8 @@ def fit_design(design: list, roles: list, Y: np.ndarray, cfg: EnsembleConfig) ->
 
 def fit(model: DualRepModel, ds: MultiViewDataset, Y: np.ndarray, cfg: EnsembleConfig) -> ViewEnsemble:
     """Assemble the V+2 views from a trained representation model and train."""
-    design, roles = assemble_views(model, ds, cfg)
+    design, roles = design_matrices(model, cfg)
+    roles[: ds.n_views] = [vb.name for vb in ds.views]
     return fit_design(design, roles, Y, cfg)
 
 
@@ -231,16 +213,8 @@ def predict_design(ensemble: ViewEnsemble, design: list):
     return scores, np.argmax(scores, axis=1)
 
 
-def predict(
-    ensemble: ViewEnsemble, model: DualRepModel, ds: MultiViewDataset,
-    rep_result: TransformResult | None = None,
-):
-    """Impute/represent new data with the trained model, then score it.
-
-    ``rep_result`` may pass a precomputed transform of ``ds`` to avoid
-    rerunning it.
-    """
-    if rep_result is None:
-        rep_result = transform(model, ds)
+def predict(ensemble: ViewEnsemble, rep_result: DualRepModel):
+    """Scores and labels for data that ``representation.transform`` has
+    imputed and represented."""
     design, _ = design_matrices(rep_result, ensemble.config)
     return predict_design(ensemble, design)

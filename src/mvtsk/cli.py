@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -30,24 +31,34 @@ from mvtsk.classifier import EnsembleConfig
 from mvtsk.representation import DualRepConfig
 
 
+def _build_config(cls, section: str, values):
+    """``cls(**values)``, with every failure a ValueError naming ``section``."""
+    if not isinstance(values, dict):
+        raise ValueError(f"config section {section!r} must be an object, got {values!r}")
+    known = [f.name for f in dataclasses.fields(cls)]
+    for key in values:
+        if key not in known:
+            raise ValueError(f"config section {section!r}: unknown key {key!r}; known: {known}")
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config section {section!r}: {exc}") from None
+
+
 def _load_run_config(path: str | None):
     """Config JSON with optional "representation" and "ensemble" sections."""
     doc = {}
     if path:
         with open(path) as fh:
             doc = json.load(fh)
-    rep_overrides = dict(doc.get("representation", {}))
-    if rep_overrides.get("tol") in ("inf", "Infinity"):
-        rep_overrides["tol"] = float("inf")
-    rep_cfg = DualRepConfig(**rep_overrides)
-    ens_cfg = EnsembleConfig(**doc.get("ensemble", {}))
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {path} must be a JSON object, got {doc!r}")
+    rep_overrides = doc.get("representation", {})
+    if isinstance(rep_overrides, dict) and rep_overrides.get("tol") in ("inf", "Infinity"):
+        rep_overrides = {**rep_overrides, "tol": float("inf")}
+    rep_cfg = _build_config(DualRepConfig, "representation", rep_overrides)
+    ens_cfg = _build_config(EnsembleConfig, "ensemble", doc.get("ensemble", {}))
     return rep_cfg, ens_cfg, doc
-
-
-def _with_seed(cfg, seed: int):
-    d = cfg.to_dict()
-    d["seed"] = seed
-    return type(cfg).from_dict(d)
 
 
 def _write_json(path: str, obj):
@@ -84,8 +95,8 @@ def cmd_mask(args) -> int:
 def cmd_train(args) -> int:
     rep_cfg, ens_cfg, _ = _load_run_config(args.config)
     if args.seed is not None:
-        rep_cfg = _with_seed(rep_cfg, args.seed)
-        ens_cfg = _with_seed(ens_cfg, args.seed)
+        rep_cfg = dataclasses.replace(rep_cfg, seed=args.seed)
+        ens_cfg = dataclasses.replace(ens_cfg, seed=args.seed)
     ds = _dataset.load_dataset(args.manifest)
     model = _pipeline.train_model(ds, rep_cfg, ens_cfg)
     _pipeline.save_model(model, args.out)
@@ -127,7 +138,8 @@ def _grid_overrides(grid: dict):
 
 
 def _apply_overrides(rep_cfg, ens_cfg, overrides):
-    sections = {"representation": rep_cfg.to_dict(), "ensemble": ens_cfg.to_dict()}
+    sections = {"representation": dataclasses.asdict(rep_cfg),
+                "ensemble": dataclasses.asdict(ens_cfg)}
     for key, value in overrides.items():
         section, _, name = key.partition(".")
         if name not in sections.get(section, {}):
@@ -136,9 +148,9 @@ def _apply_overrides(rep_cfg, ens_cfg, overrides):
             )
         sections[section][name] = value
     try:
-        return (DualRepConfig.from_dict(sections["representation"]),
-                EnsembleConfig.from_dict(sections["ensemble"]))
-    except (TypeError, ValueError) as exc:
+        return (_build_config(DualRepConfig, "representation", sections["representation"]),
+                _build_config(EnsembleConfig, "ensemble", sections["ensemble"]))
+    except ValueError as exc:
         raise ValueError(f"grid point {overrides}: {exc}") from None
 
 
@@ -176,8 +188,7 @@ def _select(sub_tr, sub_val, rep_cfg, ens_cfg, points):
             stage1[key] = (fitted, _pipeline.transform_dataset(fitted, sub_val))
         fitted, val_rep = stage1[key]
         model = _pipeline.train_ensemble(fitted, sub_tr, e_cfg)
-        _, val_pred = _classifier.predict(model.ensemble, model.rep_model, sub_val,
-                                          rep_result=val_rep)
+        _, val_pred = _classifier.predict(model.ensemble, val_rep)
         acc = _metrics.accuracy(sub_val.labels, val_pred)
         if best is None or acc > best[0]:
             best = (acc, overrides)
@@ -188,8 +199,8 @@ def _run_cell(ds, rate, rep, rep_cfg, ens_cfg, test_fraction, root_seed, rate_id
     seeds = [_pipeline.derive_seed(root_seed, rate_idx, rep, j) for j in range(4)]
     masked = _dataset.apply_mask(ds, rate, seeds[0])
     train, test = _dataset.split_train_test(masked, test_fraction, seeds[1], stratified=True)
-    rep_cfg = _with_seed(rep_cfg, seeds[2])
-    ens_cfg = _with_seed(ens_cfg, seeds[3])
+    rep_cfg = dataclasses.replace(rep_cfg, seed=seeds[2])
+    ens_cfg = dataclasses.replace(ens_cfg, seed=seeds[3])
 
     if points:
         sub_tr, sub_val = _dataset.split_train_test(train, 0.2, seeds[1], stratified=True)
@@ -356,6 +367,15 @@ def cmd_explain(args) -> int:
         if not 0 <= view_index < len(roles):
             raise ValueError(f"view index {view_index} out of range; known: {roles}")
 
+    if args.instance is not None:
+        if not args.manifest:
+            raise ValueError("--instance requires --manifest to supply the data row")
+        ds = _dataset.load_dataset(args.manifest)
+        if not 0 <= args.instance < ds.n_instances:
+            raise ValueError(
+                f"--instance {args.instance} out of range for {ds.n_instances} rows"
+            )
+
     feature_names = None
     if args.names:
         with open(args.names) as fh:
@@ -370,9 +390,6 @@ def cmd_explain(args) -> int:
         _write_json(os.path.join(args.out, "rules.json"), report)
 
     if args.instance is not None:
-        if not args.manifest:
-            raise ValueError("--instance requires --manifest to supply the data row")
-        ds = _dataset.load_dataset(args.manifest)
         rep_result = _pipeline.transform_dataset(model, ds)
         design, _ = _classifier.design_matrices(rep_result, model.ensemble.config)
         x = design[view_index][args.instance]

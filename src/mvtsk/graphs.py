@@ -32,18 +32,14 @@ class SimilarityGraph:
 
 @dataclass
 class GraphOperators:
-    """Derived quadratic-form operators for one graph.
+    """The two quadratic-form operators of one graph.
 
     laplacian       L = D - sym(G), built on the symmetrized graph.
-    coefficients    row-normalized G (rows summing to 1 where possible).
-    reconstruction  (I - coefficients)^T (I - coefficients).
-    raw_weights     the affinities both operators were derived from.
+    reconstruction  (I - C)^T (I - C), C the row-normalized G.
     """
 
     laplacian: np.ndarray
     reconstruction: np.ndarray
-    coefficients: np.ndarray
-    raw_weights: np.ndarray
 
 
 def knn_graph(points: np.ndarray, p: int, bandwidth="median") -> SimilarityGraph:
@@ -107,24 +103,16 @@ def row_normalize(weights: np.ndarray) -> np.ndarray:
     return weights / safe
 
 
-def reconstruction_operator(graph: SimilarityGraph, coefficients=None) -> np.ndarray:
+def reconstruction_operator(graph: SimilarityGraph) -> np.ndarray:
     """(I - G)^T (I - G) with G row-normalized; symmetric PSD.
 
-    ``coefficients`` is ``row_normalize(graph.weights)`` when the caller has
-    it already.  The zero graph yields the identity.
+    The zero graph yields the identity.
     """
-    coeff = row_normalize(graph.weights) if coefficients is None else coefficients
-    lam = np.eye(coeff.shape[0]) - coeff
+    lam = np.eye(graph.weights.shape[0]) - row_normalize(graph.weights)
     return lam.T @ lam
 
 
 def build_operators(points: np.ndarray, p: int, bandwidth="median") -> GraphOperators:
     """Convenience: graph from points, then both operators."""
     graph = knn_graph(points, p, bandwidth)
-    coeff = row_normalize(graph.weights)
-    return GraphOperators(
-        laplacian=laplacian(graph),
-        reconstruction=reconstruction_operator(graph, coeff),
-        coefficients=coeff,
-        raw_weights=graph.weights,
-    )
+    return GraphOperators(laplacian(graph), reconstruction_operator(graph))

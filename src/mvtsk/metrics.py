@@ -2,9 +2,7 @@
 
 ACC / AUC / F1 plus the Friedman test (are k algorithms distinguishable
 over n settings?) and the Holm step-down procedure against a control.
-Chi-square and normal tail probabilities are computed here from the
-regularized incomplete gamma function and erfc rather than from any
-statistics table.
+Chi-square and normal tail probabilities come from scipy.
 """
 
 from __future__ import annotations
@@ -13,51 +11,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
-
-_EPS = 1e-15
-_FPMIN = 1e-300
-_MAX_ITER = 1000
+from scipy.special import gammaincc
+from scipy.stats import chi2, norm, rankdata
 
 
 # ---------------------------------------------------------------------------
 # Tail probabilities
 # ---------------------------------------------------------------------------
-
-def _gamma_p_series(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma by power series (x < a + 1)."""
-    ap = a
-    total = term = 1.0 / a
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma by continued fraction (x >= a + 1),
-    evaluated with the modified Lentz method."""
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 def regularized_gamma_upper(a: float, x: float) -> float:
     """Q(a, x), the upper regularized incomplete gamma function."""
@@ -65,21 +25,17 @@ def regularized_gamma_upper(a: float, x: float) -> float:
         raise ValueError("shape parameter must be positive")
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
+    return float(gammaincc(a, x))
 
 def chi_square_sf(x: float, df: int) -> float:
     """Survival function of the chi-square distribution."""
     if df < 1:
         raise ValueError("df must be >= 1")
-    return regularized_gamma_upper(df / 2.0, x / 2.0)
+    return float(chi2.sf(x, df))
 
 def normal_sf(z: float) -> float:
-    """Standard normal survival function 1 - Phi(z), via erfc."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
+    """Standard normal survival function 1 - Phi(z)."""
+    return float(norm.sf(z))
 
 
 # ---------------------------------------------------------------------------

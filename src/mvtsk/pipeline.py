@@ -1,15 +1,19 @@
 """End-to-end training, prediction, and model persistence.
 
 A trained model bundles the normalization statistics, the representation
-model (bases, representations, corrections), and the fuzzy ensemble, and
-serializes to a single JSON document.  Serialization is deterministic:
-retraining with the same seed produces byte-identical files.
+model (bases, representations, corrections), and the fuzzy ensemble.  Its
+file (format ``mvtsk-model-v2``) holds only what prediction reads: the
+normalization, the frozen bases (``RepBases``) and the ensemble's rules and
+weights.  Files in the older ``mvtsk-model-v1`` format, which also carried
+the training representations, corrections and traces, load through the same
+reader.  Serialization is deterministic: retraining with the same seed
+produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,19 +27,23 @@ from mvtsk.dataset import (
     one_hot,
 )
 from mvtsk.fuzzy import Antecedent
-from mvtsk.representation import DualRepConfig, DualRepModel, TransformResult
+from mvtsk.representation import DualRepConfig, DualRepModel, RepBases
 
 
 @dataclass
 class Stage1Model:
-    """Stage 1 of a model: the normalization statistics and the trained
-    representation model, which is all ``transform_dataset`` reads."""
+    """Stage 1 of a model: the normalization statistics and the
+    representation model, which is all ``transform_dataset`` reads.
+
+    ``rep_model`` is the full ``DualRepModel`` after training and the frozen
+    ``RepBases`` after loading from a file.
+    """
 
     view_names: list
     view_dims: list
     n_classes: int
     normalization: NormalizationStats
-    rep_model: DualRepModel
+    rep_model: RepBases
 
 
 @dataclass
@@ -76,7 +84,7 @@ def train_model(
     return train_ensemble(train_representation(ds, rep_cfg), ds, ens_cfg)
 
 
-def transform_dataset(model: Stage1Model, ds: MultiViewDataset) -> TransformResult:
+def transform_dataset(model: Stage1Model, ds: MultiViewDataset) -> DualRepModel:
     """Normalize and represent a new dataset under the trained model."""
     if ds.dims != model.view_dims:
         for name, want, got in zip(model.view_names, model.view_dims, ds.dims):
@@ -92,12 +100,15 @@ def transform_dataset(model: Stage1Model, ds: MultiViewDataset) -> TransformResu
 def predict_model(model: TrainedModel, ds: MultiViewDataset):
     """Scores (N x C) and argmax labels for a new dataset."""
     rep_result = transform_dataset(model, ds)
-    return classifier.predict(model.ensemble, model.rep_model, ds, rep_result=rep_result)
+    return classifier.predict(model.ensemble, rep_result)
 
 
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
+
+FORMAT = "mvtsk-model-v2"
+
 
 def _encode(arr: np.ndarray) -> dict:
     arr = np.asarray(arr, dtype=float)
@@ -111,7 +122,7 @@ def _decode(obj: dict) -> np.ndarray:
 def model_to_dict(model: TrainedModel) -> dict:
     rep = model.rep_model
     return {
-        "format": "mvtsk-model-v1",
+        "format": FORMAT,
         "views": [
             {"name": n, "dim": d} for n, d in zip(model.view_names, model.view_dims)
         ],
@@ -121,22 +132,14 @@ def model_to_dict(model: TrainedModel) -> dict:
             "maxs": [_encode(m) for m in model.normalization.maxs],
         },
         "representation": {
-            "config": rep.config.to_dict(),
-            "Hc": _encode(rep.Hc),
+            "config": asdict(rep.config),
             "views": [
-                {
-                    "Hs": _encode(rep.Hs[v]),
-                    "Bs": _encode(rep.Bs[v]),
-                    "Bc": _encode(rep.Bc[v]),
-                    "U": _encode(rep.U[v]),
-                    "col_means": _encode(rep.col_means[v]),
-                }
-                for v in range(rep.n_views)
+                {"Bs": _encode(bs), "Bc": _encode(bc), "col_means": _encode(mu)}
+                for bs, bc, mu in zip(rep.Bs, rep.Bc, rep.col_means)
             ],
-            "objective_trace": [float(x) for x in rep.objective_trace],
         },
         "ensemble": {
-            "config": model.ensemble.config.to_dict(),
+            "config": asdict(model.ensemble.config),
             "alpha": [float(a) for a in model.ensemble.alpha],
             "roles": list(model.ensemble.roles),
             "views": [
@@ -147,13 +150,14 @@ def model_to_dict(model: TrainedModel) -> dict:
                 }
                 for ant, p in zip(model.ensemble.antecedents, model.ensemble.consequents)
             ],
-            "history": [float(x) for x in model.ensemble.history],
         },
     }
 
 
 def model_from_dict(doc: dict) -> TrainedModel:
-    if doc.get("format") != "mvtsk-model-v1":
+    """Read a v2 document, or a v1 one: v1 has every key v2 has, and the
+    training state it adds is not read."""
+    if doc.get("format") not in ("mvtsk-model-v1", FORMAT):
         raise ValueError(f"unrecognized model format {doc.get('format')!r}")
     names = [v["name"] for v in doc["views"]]
     dims = [v["dim"] for v in doc["views"]]
@@ -164,20 +168,11 @@ def model_from_dict(doc: dict) -> TrainedModel:
     )
 
     rep_doc = doc["representation"]
-    cfg = DualRepConfig.from_dict(rep_doc["config"])
-    n_views = len(rep_doc["views"])
-    rep = DualRepModel(
-        X=[np.zeros((0, d)) for d in dims],
-        missing=[np.zeros(0, dtype=bool) for _ in range(n_views)],
-        Hs=[_decode(v["Hs"]) for v in rep_doc["views"]],
+    rep = RepBases(
         Bs=[_decode(v["Bs"]) for v in rep_doc["views"]],
         Bc=[_decode(v["Bc"]) for v in rep_doc["views"]],
-        U=[_decode(v["U"]) for v in rep_doc["views"]],
-        Hc=_decode(rep_doc["Hc"]),
-        Xt=[np.zeros((0, d)) for d in dims],
         col_means=[_decode(v["col_means"]) for v in rep_doc["views"]],
-        config=cfg,
-        objective_trace=list(rep_doc["objective_trace"]),
+        config=DualRepConfig(**rep_doc["config"]),
     )
 
     ens_doc = doc["ensemble"]
@@ -188,8 +183,7 @@ def model_from_dict(doc: dict) -> TrainedModel:
         consequents=[_decode(v["consequent"]) for v in ens_doc["views"]],
         alpha=np.asarray(ens_doc["alpha"], dtype=float),
         roles=list(ens_doc["roles"]),
-        config=EnsembleConfig.from_dict(ens_doc["config"]),
-        history=list(ens_doc["history"]),
+        config=EnsembleConfig(**ens_doc["config"]),
     )
     return TrainedModel(names, dims, doc["n_classes"], stats, rep, ensemble)
 

@@ -78,54 +78,43 @@ class DualRepConfig:
         elif self.graph_refresh is not None:
             self.graph_refresh = None  # inf means never refresh
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "lam1": self.lam1,
-            "lam2": self.lam2,
-            "lam3": self.lam3,
-            "p": self.p,
-            "max_iters": self.max_iters,
-            "tol": self.tol,
-            "ridge": self.ridge,
-            "graph_refresh": self.graph_refresh,
-            "seed": self.seed,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DualRepConfig":
-        return cls(**d)
+@dataclass
+class RepBases:
+    """Frozen stage-1 state: all that ``transform`` reads.
+
+    Bs[v]/Bc[v]   specific and common bases, m x d_v
+    col_means[v]  per-feature means over present training rows; they seed
+                  the imputation of unseen data
+    """
+
+    Bs: list
+    Bc: list
+    col_means: list
+    config: DualRepConfig
+
+    @property
+    def n_views(self) -> int:
+        return len(self.Bs)
 
 
 @dataclass
-class DualRepModel:
-    """State of the factorization for one dataset.
+class DualRepModel(RepBases):
+    """The bases plus the state of the factorization for one dataset.
 
     X[v]    zero-filled data, N x d_v        missing[v]  bool vector, length N
-    Hs[v]   specific representation, m x N   Bs[v]       its basis, m x d_v
-    Hc      common representation, m x N     Bc[v]       common basis, m x d_v
+    Hs[v]   specific representation, m x N   Hc          common representation, m x N
     U[v]    corrections, N x d_v, nonzero only on missing rows
     Xt[v]   imputed view, X[v] + U[v] on missing rows (X + E U)
-
-    col_means[v] holds the per-feature means over present training rows and
-    seeds the imputation of unseen data.
     """
 
     X: list
     missing: list
     Hs: list
-    Bs: list
-    Bc: list
     U: list
     Hc: np.ndarray
     Xt: list
-    col_means: list
-    config: DualRepConfig
     objective_trace: list = field(default_factory=list)
-
-    @property
-    def n_views(self) -> int:
-        return len(self.X)
 
     @property
     def n_instances(self) -> int:
@@ -169,7 +158,7 @@ def init_model(ds: MultiViewDataset, cfg: DualRepConfig) -> DualRepModel:
         U.append(u)
         Xt.append(None)
     Hc = rng.uniform(size=(cfg.m, n))
-    model = DualRepModel(X, missing, Hs, Bs, Bc, U, Hc, Xt, col_means, cfg)
+    model = DualRepModel(Bs, Bc, col_means, cfg, X, missing, Hs, U, Hc, Xt)
     for v in range(model.n_views):
         model.refresh_imputed(v)
     return model
@@ -309,29 +298,20 @@ def fit(ds: MultiViewDataset, cfg: DualRepConfig) -> DualRepModel:
     return _run(init_model(ds, cfg), cfg, update_bases=True)
 
 
-@dataclass
-class TransformResult:
-    """Representations, corrections, and imputed views learned for new data."""
-
-    U: list
-    Hs: list
-    Hc: np.ndarray
-    Xt: list
-    objective_trace: list
-
-
-def transform(model: DualRepModel, ds: MultiViewDataset, cfg: DualRepConfig | None = None) -> TransformResult:
-    """Impute and represent unseen data under the trained (frozen) bases.
+def transform(bases: RepBases, ds: MultiViewDataset, cfg: DualRepConfig | None = None) -> DualRepModel:
+    """Impute and represent unseen data under frozen bases.
 
     Only the new data's corrections and representations are learned; graphs
     are rebuilt from the new representations on the training schedule.
-    Missing rows warm-start at the training feature means.
+    Missing rows warm-start at the training feature means.  The result
+    shares its basis arrays with ``bases``, which it never writes.
     """
-    cfg = model.config if cfg is None else cfg
-    if [vb.dim for vb in ds.views] != [x.shape[1] for x in model.X]:
+    cfg = bases.config if cfg is None else cfg
+    dims = [b.shape[1] for b in bases.Bs]
+    if [vb.dim for vb in ds.views] != dims:
         raise ValueError(
             f"view dimensions {[vb.dim for vb in ds.views]} do not match the "
-            f"trained model {[x.shape[1] for x in model.X]}"
+            f"trained model {dims}"
         )
     rng = np.random.default_rng(cfg.seed)
     n = ds.n_instances
@@ -341,15 +321,13 @@ def transform(model: DualRepModel, ds: MultiViewDataset, cfg: DualRepConfig | No
         missing.append(vb.missing.copy())
         Hs.append(rng.uniform(size=(cfg.m, n)))
         u = np.zeros((n, vb.dim))
-        u[vb.missing] = model.col_means[v]
+        u[vb.missing] = bases.col_means[v]
         U.append(u)
         Xt.append(None)
     Hc = rng.uniform(size=(cfg.m, n))
     state = DualRepModel(
-        X, missing, Hs, [b.copy() for b in model.Bs], [b.copy() for b in model.Bc],
-        U, Hc, Xt, model.col_means, cfg,
+        list(bases.Bs), list(bases.Bc), bases.col_means, cfg, X, missing, Hs, U, Hc, Xt
     )
     for v in range(state.n_views):
         state.refresh_imputed(v)
-    _run(state, cfg, update_bases=False)
-    return TransformResult(state.U, state.Hs, state.Hc, state.Xt, state.objective_trace)
+    return _run(state, cfg, update_bases=False)

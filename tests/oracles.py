@@ -11,6 +11,7 @@ from scipy.spatial.distance import cdist
 
 from mvtsk.cli import _apply_overrides
 from mvtsk.dataset import DegeneracyWarning
+from mvtsk.graphs import knn_graph, row_normalize
 from mvtsk.metrics import accuracy
 from mvtsk.pipeline import predict_model, train_model
 
@@ -78,22 +79,24 @@ def reconstruction_residual(coefficients, X):
     return total
 
 
-def slow_representation_objective(model, specific_ops, common_ops, cfg):
-    """Frozen-graph training loss via double sums instead of trace forms.
+def slow_representation_objective(model, cfg):
+    """Training loss on graphs built from the model's current representations,
+    via double sums instead of trace forms.
 
     Uses the identity tr(X^T L X) = 0.5 * sum_ij G_ij ||x_i - x_j||^2 on the
-    operators' raw weights, so it matches the packaged objective exactly
-    when that identity holds.
+    raw graph weights, so it matches the packaged objective exactly when that
+    identity holds.
     """
     total = 0.0
+    common = knn_graph(model.Hc.T, cfg.p).weights
     for v in range(model.n_views):
         xt = model.Xt[v]
         recon = model.Hs[v].T @ model.Bs[v] + model.Hc.T @ model.Bc[v]
         total += float(((xt - recon) ** 2).sum())
         total += cfg.lam1 * float(((model.Hs[v].T @ model.Hc) ** 2).sum())
-        for ops in (specific_ops[v], common_ops):
-            total += cfg.lam2 * 0.5 * pairwise_smoothness(ops.raw_weights, xt)
-            total += cfg.lam3 * reconstruction_residual(ops.coefficients, xt)
+        for weights in (knn_graph(model.Hs[v].T, cfg.p).weights, common):
+            total += cfg.lam2 * 0.5 * pairwise_smoothness(weights, xt)
+            total += cfg.lam3 * reconstruction_residual(row_normalize(weights), xt)
     return total
 
 

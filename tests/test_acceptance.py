@@ -25,7 +25,7 @@ from mvtsk.dataset import (
 )
 from mvtsk.explain import decision_trace, linguistic_labels
 from mvtsk.fuzzy import Antecedent, estimate_antecedent, firing_matrix, fuzzy_map, tsk_output
-from mvtsk.graphs import build_operators
+from mvtsk.graphs import build_operators, knn_graph, row_normalize
 from mvtsk.representation import (
     DualRepConfig,
     fit,
@@ -181,7 +181,7 @@ def test_acceptance_02_block_optimality():
 
         # classifier blocks on the same instance
         rng = np.random.default_rng(1000 + seed)
-        mats, roles = classifier.assemble_views(model, ds, EnsembleConfig(K=2))
+        mats, roles = classifier.design_matrices(model, EnsembleConfig(K=2))
         Y = one_hot(ds.labels, ds.n_classes)
         ecfg = EnsembleConfig(
             K=2, beta=float(rng.uniform(0.1, 2)), gamma=float(rng.uniform(0.5, 4)),
@@ -258,9 +258,10 @@ def test_acceptance_04_trace_identity_oracle():
         pts = rng.normal(size=(n, 3))
         X = rng.normal(size=(n, 5))
         ops = build_operators(pts, p=min(3, n - 1))
-        lap_brute = oracles.pairwise_smoothness(ops.raw_weights, X)
+        weights = knn_graph(pts, min(3, n - 1)).weights
+        lap_brute = oracles.pairwise_smoothness(weights, X)
         lap_trace = 2.0 * float(np.trace(X.T @ ops.laplacian @ X))
-        rec_brute = oracles.reconstruction_residual(ops.coefficients, X)
+        rec_brute = oracles.reconstruction_residual(row_normalize(weights), X)
         rec_trace = float(np.trace(X.T @ ops.reconstruction @ X))
         worst = max(worst, abs(lap_brute - lap_trace), abs(rec_brute - rec_trace))
         assert abs(lap_brute - lap_trace) <= 1e-8

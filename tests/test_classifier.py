@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from mvtsk import representation
 from mvtsk.classifier import (
     EnsembleConfig,
-    assemble_views,
     design_matrices,
     ensemble_objective,
     fit,
@@ -43,14 +42,14 @@ class TestAssemble:
 
     def test_specific_view_concatenation_width(self):
         ds, model = self._trained(v=3, m=4)
-        mats, roles = assemble_views(model, ds, cfg())
+        mats, roles = design_matrices(model, cfg())
         assert mats[-1].shape[1] == 3 * 4  # V * m columns
         assert roles[-1] == "specific" and roles[-2] == "common"
         assert mats[-2].shape[1] == 4
 
     def test_mapped_width(self):
         ds, model = self._trained()
-        mats, _ = assemble_views(model, ds, cfg(K=2))
+        mats, _ = design_matrices(model, cfg(K=2))
         mapped = fuzzy_map(mats[0], estimate_antecedent(mats[0], 2))
         assert mapped.shape[1] == 2 * (1 + mats[0].shape[1])
 
@@ -58,15 +57,22 @@ class TestAssemble:
         ds = gen_synthetic(10, 2, [3, 3], 2, 0.1, 2.0, seed=5)
         dsn = apply_normalizer(ds, fit_normalizer(ds))
         model = representation.fit(dsn, representation.DualRepConfig(m=2, max_iters=2, p=3, seed=6))
-        mats, _ = assemble_views(model, dsn, cfg())
+        mats, _ = design_matrices(model, cfg())
         for v in range(2):
             assert np.array_equal(mats[v], dsn.views[v].data)
 
+    def test_fit_names_imputed_views_after_dataset(self):
+        ds, model = self._trained(v=2)
+        for vb, name in zip(ds.views, ("left", "right")):
+            vb.name = name
+        ens = fit(model, ds, one_hot(ds.labels, ds.n_classes), cfg(max_iters=2))
+        assert ens.roles == ["left", "right", "common", "specific"]
+
     def test_ablation_switches(self):
         ds, model = self._trained()
-        mats, roles = assemble_views(model, ds, cfg(use_common=False))
+        mats, roles = design_matrices(model, cfg(use_common=False))
         assert "common" not in roles and "specific" in roles
-        mats, roles = assemble_views(model, ds, cfg(use_specific=False))
+        mats, roles = design_matrices(model, cfg(use_specific=False))
         assert "specific" not in roles and len(mats) == ds.n_views + 1
 
 
@@ -235,7 +241,7 @@ class TestFitPredict:
 
     def test_predict_path_matches_training_data(self):
         dsn, model, ens = self._pipeline()
-        scores, labels = predict(ens, model, dsn)
+        scores, labels = predict(ens, representation.transform(model, dsn))
         assert scores.shape == (90, 2)
         assert np.mean(labels == dsn.labels) >= 0.95
 

@@ -73,7 +73,7 @@ class TestTrainPredict:
         assert len(alpha) == 5  # 3 views + common + specific
         assert abs(sum(alpha) - 1.0) <= 1e-12
 
-    def test_train_tolerance_inf_single_iteration(self, synth_manifest, tmp_path):
+    def test_train_tolerance_inf_single_iteration(self, synth_manifest, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "representation": {"m": 2, "max_iters": 50, "tol": "inf", "p": 4},
@@ -82,8 +82,25 @@ class TestTrainPredict:
         model_path = tmp_path / "model.json"
         assert main(["train", synth_manifest, "--config", str(cfg),
                      "--out", str(model_path)]) == 0
-        doc = json.loads(model_path.read_text())
-        assert len(doc["representation"]["objective_trace"]) == 2
+        assert "representation: 1 iterations," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    @pytest.mark.parametrize("doc, named", [
+        ({"ensemble": {"KK": 2}}, "'KK'"),
+        ({"ensemble": [1]}, "'ensemble'"),
+        ({"representation": {"m": "two"}}, "'representation'"),
+        ([1], "JSON object"),
+    ])
+    def test_bad_config_is_one_line_error(
+        self, synth_manifest, tmp_path, capsys, command, doc, named
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main([command, synth_manifest, "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and named in err
 
     def test_train_determinism_byte_identical(self, synth_manifest, fast_config, tmp_path):
         blobs = []
@@ -300,6 +317,21 @@ class TestExplain:
         trace = json.loads((out / "trace.json").read_text())
         total = np.array(trace["contributions"]).sum(axis=0)
         assert np.max(np.abs(total - np.array(trace["combined"]))) <= 1e-12
+
+    @pytest.mark.parametrize("instance", ["60", "999", "-1"])
+    def test_instance_out_of_range_errors(
+        self, synth_manifest, fast_config, tmp_path, capsys, instance
+    ):
+        model_path = tmp_path / "model.json"
+        main(["train", synth_manifest, "--config", fast_config, "--out", str(model_path)])
+        capsys.readouterr()
+        rc = main(["explain", str(model_path), "--view", "view0",
+                   "--manifest", synth_manifest, "--instance", instance])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"--instance {instance} out of range for 60 rows" in captured.err
 
     def test_unknown_view_errors(self, synth_manifest, fast_config, tmp_path):
         model_path = tmp_path / "model.json"

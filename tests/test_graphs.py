@@ -182,7 +182,7 @@ class TestTraceIdentities:
         pts = rng.normal(size=(n, 3))
         X = rng.normal(size=(n, 4))
         ops = build_operators(pts, p=min(3, n - 1))
-        brute = oracles.pairwise_smoothness(ops.raw_weights, X)
+        brute = oracles.pairwise_smoothness(knn_graph(pts, min(3, n - 1)).weights, X)
         trace = 2.0 * np.trace(X.T @ ops.laplacian @ X)
         assert brute == pytest.approx(trace, abs=1e-8)
 
@@ -193,6 +193,15 @@ class TestTraceIdentities:
         pts = rng.normal(size=(n, 3))
         X = rng.normal(size=(n, 4))
         ops = build_operators(pts, p=min(3, n - 1))
-        brute = oracles.reconstruction_residual(ops.coefficients, X)
+        coeff = row_normalize(knn_graph(pts, min(3, n - 1)).weights)
+        brute = oracles.reconstruction_residual(coeff, X)
         trace = np.trace(X.T @ ops.reconstruction @ X)
         assert brute == pytest.approx(trace, abs=1e-8)
+
+
+def test_build_operators_is_laplacian_and_reconstruction_of_knn_graph():
+    pts = np.random.default_rng(8).normal(size=(12, 3))
+    ops = build_operators(pts, p=4)
+    graph = knn_graph(pts, 4)
+    assert np.array_equal(ops.laplacian, laplacian(graph))
+    assert np.array_equal(ops.reconstruction, reconstruction_operator(graph))

@@ -9,6 +9,7 @@ from mvtsk.dataset import (
     fit_normalizer,
     gen_synthetic,
 )
+from mvtsk.graphs import knn_graph, laplacian
 from mvtsk.representation import (
     DualRepConfig,
     fit,
@@ -96,8 +97,10 @@ class TestGraphRefresh:
     def test_two_instances(self):
         ds = planted(n=2, mask=0.0, dims=(3, 3, 3))
         model = init_model(ds, small_cfg(p=5))
-        sops, cops = refresh_graphs(model, small_cfg(p=5))
-        assert (sops[0].raw_weights > 0).sum() == 2  # one neighbor each way
+        sops, _ = refresh_graphs(model, small_cfg(p=5))
+        graph = knn_graph(model.Hs[0].T, small_cfg(p=5).p)
+        assert np.array_equal(sops[0].laplacian, laplacian(graph))
+        assert (graph.weights > 0).sum() == 2  # one neighbor each way
 
     def test_constant_representation_fallback(self):
         ds = planted()
@@ -105,7 +108,10 @@ class TestGraphRefresh:
         model.Hc = np.ones_like(model.Hc)
         with pytest.warns(DegeneracyWarning):
             _, cops = refresh_graphs(model, small_cfg())
-        nz = cops.raw_weights[cops.raw_weights > 0]
+        with pytest.warns(DegeneracyWarning):
+            graph = knn_graph(model.Hc.T, small_cfg().p)
+        assert np.array_equal(cops.laplacian, laplacian(graph))
+        nz = graph.weights[graph.weights > 0]
         assert np.all(nz == 1.0)
 
     def test_purity(self):
@@ -318,7 +324,7 @@ class TestObjective:
         model = init_model(ds, cfg)
         sops, cops = refresh_graphs(model, cfg)
         fast = objective(model, sops, cops, cfg)
-        slow = oracles.slow_representation_objective(model, sops, cops, cfg)
+        slow = oracles.slow_representation_objective(model, cfg)
         assert fast == pytest.approx(slow, abs=1e-8 * max(1.0, abs(slow)))
 
     def test_nonnegative(self):
