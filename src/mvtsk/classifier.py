@@ -9,10 +9,17 @@ toward the aggregate of the others (cooperation weight beta), while view
 weights follow a softmax of negative per-view losses at temperature gamma
 (an entropy-regularized weighting).  Prediction is the weight-averaged sum
 of the per-view outputs with argmax decoding.
+
+Between sweeps only a view's weight and its cooperation target change, so
+each view's N x D mapped design is factored once per fit by a thin SVD
+(rank r = min(N, D)).  A sweep then solves every view's ridge system for
+its current penalty through that factor in O((N + D) r C), with no Gram
+matrix and no D x D solve.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +58,10 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("K must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if not isinstance(self.tol, numbers.Real) or isinstance(self.tol, bool):
+            raise ValueError(f"tol must be a real number, got {self.tol!r}")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
         if self.gamma <= 0:
@@ -111,22 +122,32 @@ def _alignment_target(preds: list, v: int, cfg: EnsembleConfig) -> np.ndarray:
     return total
 
 
-def update_consequents(Xg: list, P: list, Y: np.ndarray, alpha: np.ndarray, cfg: EnsembleConfig):
+def factor_design(Xg: list) -> list:
+    """Thin SVD ``(U, s, Vt)`` of each view's mapped design, Xg = U diag(s) Vt."""
+    return [np.linalg.svd(x, full_matrices=False) for x in Xg]
+
+
+def update_consequents(
+    factors: list, P: list, Y: np.ndarray, alpha: np.ndarray, cfg: EnsembleConfig
+):
     """One Gauss-Seidel sweep of the per-view ridge systems.
 
-    Views are visited in index order and the cooperation target is refreshed
-    from the latest consequents after every view, so each solve is the exact
-    minimizer of its view's subproblem at that moment.
+    ``factors`` is ``factor_design`` of the mapped designs.  Views are
+    visited in index order and the cooperation target is refreshed from the
+    latest consequents after every view, so each solve is the exact
+    minimizer of its view's subproblem at that moment.  With target
+    t = alpha_v Y + beta lam_v, that minimizer is
+    V diag(s / ((alpha_v + beta) s^2 + delta)) U^T t: the right-hand side
+    X^T t lies in span(V), so the thin factor solves N < D and N >= D alike.
     """
-    P = [p.copy() for p in P]
-    preds = [Xg[v] @ P[v] for v in range(len(Xg))]
-    for v in range(len(Xg)):
+    P = list(P)
+    preds = [U @ (s[:, None] * (Vt @ p)) for (U, s, Vt), p in zip(factors, P)]
+    for v, (U, s, Vt) in enumerate(factors):
         lam = _alignment_target(preds, v, cfg)
-        gram = (alpha[v] + cfg.beta) * (Xg[v].T @ Xg[v])
-        gram += cfg.delta * np.eye(Xg[v].shape[1])
-        rhs = alpha[v] * (Xg[v].T @ Y) + cfg.beta * (Xg[v].T @ lam)
-        P[v] = np.linalg.solve(gram, rhs)
-        preds[v] = Xg[v] @ P[v]
+        proj = U.T @ (alpha[v] * Y + cfg.beta * lam)
+        shrink = s / ((alpha[v] + cfg.beta) * s**2 + cfg.delta)
+        P[v] = Vt.T @ (shrink[:, None] * proj)
+        preds[v] = U @ ((s * shrink)[:, None] * proj)
     return P
 
 
@@ -160,13 +181,15 @@ def ensemble_objective(Xg: list, P: list, alpha: np.ndarray, Y: np.ndarray, cfg:
 def fit_design(design: list, roles: list, Y: np.ndarray, cfg: EnsembleConfig) -> ViewEnsemble:
     """Train the ensemble on raw design matrices.
 
-    Antecedents are estimated once per view; consequents start at zero and
-    weights uniform; sweeps alternate consequent and weight updates until
-    the largest relative consequent change drops below tol.
+    Antecedents are estimated and mapped designs factored once per view;
+    consequents start at zero and weights uniform; sweeps alternate
+    consequent and weight updates until the largest relative consequent
+    change drops below tol.
     """
     Y = np.asarray(Y, dtype=float)
     antecedents = [estimate_antecedent(mat, cfg.K, cfg.h) for mat in design]
     Xg = [fuzzy_map(mat, ant) for mat, ant in zip(design, antecedents)]
+    factors = factor_design(Xg)
     n_views = len(design)
     P = [np.zeros((x.shape[1], Y.shape[1])) for x in Xg]
     alpha = np.full(n_views, 1.0 / n_views)
@@ -174,7 +197,7 @@ def fit_design(design: list, roles: list, Y: np.ndarray, cfg: EnsembleConfig) ->
     history = []
     for _ in range(cfg.max_iters):
         prev = P
-        P = update_consequents(Xg, P, Y, alpha, cfg)
+        P = update_consequents(factors, P, Y, alpha, cfg)
         alpha = update_weights(Xg, P, Y, cfg)
         history.append(ensemble_objective(Xg, P, alpha, Y, cfg))
         if not np.isfinite(history[-1]):

@@ -154,38 +154,46 @@ def model_to_dict(model: TrainedModel) -> dict:
     }
 
 
-def model_from_dict(doc: dict) -> TrainedModel:
+def model_from_dict(doc) -> TrainedModel:
     """Read a v2 document, or a v1 one: v1 has every key v2 has, and the
-    training state it adds is not read."""
+    training state it adds is not read.  A document that is not an object,
+    lacks a key or holds a value of the wrong kind is a ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model file must hold a JSON object, got {type(doc).__name__}")
     if doc.get("format") not in ("mvtsk-model-v1", FORMAT):
         raise ValueError(f"unrecognized model format {doc.get('format')!r}")
-    names = [v["name"] for v in doc["views"]]
-    dims = [v["dim"] for v in doc["views"]]
+    try:
+        names = [v["name"] for v in doc["views"]]
+        dims = [v["dim"] for v in doc["views"]]
 
-    stats = NormalizationStats(
-        mins=[_decode(m) for m in doc["normalization"]["mins"]],
-        maxs=[_decode(m) for m in doc["normalization"]["maxs"]],
-    )
+        stats = NormalizationStats(
+            mins=[_decode(m) for m in doc["normalization"]["mins"]],
+            maxs=[_decode(m) for m in doc["normalization"]["maxs"]],
+        )
 
-    rep_doc = doc["representation"]
-    rep = RepBases(
-        Bs=[_decode(v["Bs"]) for v in rep_doc["views"]],
-        Bc=[_decode(v["Bc"]) for v in rep_doc["views"]],
-        col_means=[_decode(v["col_means"]) for v in rep_doc["views"]],
-        config=DualRepConfig(**rep_doc["config"]),
-    )
+        rep_doc = doc["representation"]
+        rep = RepBases(
+            Bs=[_decode(v["Bs"]) for v in rep_doc["views"]],
+            Bc=[_decode(v["Bc"]) for v in rep_doc["views"]],
+            col_means=[_decode(v["col_means"]) for v in rep_doc["views"]],
+            config=DualRepConfig(**rep_doc["config"]),
+        )
 
-    ens_doc = doc["ensemble"]
-    ensemble = ViewEnsemble(
-        antecedents=[
-            Antecedent(_decode(v["centers"]), _decode(v["widths"])) for v in ens_doc["views"]
-        ],
-        consequents=[_decode(v["consequent"]) for v in ens_doc["views"]],
-        alpha=np.asarray(ens_doc["alpha"], dtype=float),
-        roles=list(ens_doc["roles"]),
-        config=EnsembleConfig(**ens_doc["config"]),
-    )
-    return TrainedModel(names, dims, doc["n_classes"], stats, rep, ensemble)
+        ens_doc = doc["ensemble"]
+        ensemble = ViewEnsemble(
+            antecedents=[
+                Antecedent(_decode(v["centers"]), _decode(v["widths"])) for v in ens_doc["views"]
+            ],
+            consequents=[_decode(v["consequent"]) for v in ens_doc["views"]],
+            alpha=np.asarray(ens_doc["alpha"], dtype=float),
+            roles=list(ens_doc["roles"]),
+            config=EnsembleConfig(**ens_doc["config"]),
+        )
+        return TrainedModel(names, dims, doc["n_classes"], stats, rep, ensemble)
+    except KeyError as exc:
+        raise ValueError(f"model file lacks key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed model file: {exc}") from None
 
 
 def save_model(model: TrainedModel, path: str):

@@ -194,6 +194,26 @@ def ridge_solution_lstsq(X, Y, delta):
     return sol
 
 
+def consequent_sweep_normal_equations(Xg, P, Y, alpha, cfg):
+    """One Gauss-Seidel consequent sweep, each view solved from its normal
+    equations ((alpha_v + beta) Xg^T Xg + delta I) P_v = Xg^T (alpha_v Y + beta lam_v),
+    with lam_v the mean ("mean") or sum ("sum") of the other views' latest
+    predictions."""
+    P = [np.array(p, dtype=float) for p in P]
+    n_views = len(Xg)
+    for v in range(n_views):
+        lam = np.zeros_like(Y, dtype=float)
+        for l in range(n_views):
+            if l != v:
+                lam = lam + Xg[l] @ P[l]
+        if cfg.alignment == "mean" and n_views > 1:
+            lam = lam / (n_views - 1)
+        gram = (alpha[v] + cfg.beta) * (Xg[v].T @ Xg[v]) + cfg.delta * np.eye(Xg[v].shape[1])
+        rhs = Xg[v].T @ (alpha[v] * Y + cfg.beta * lam)
+        P[v] = np.linalg.solve(gram, rhs)
+    return P
+
+
 def auc_pair_count(labels, scores):
     """AUC as the fraction of concordant positive/negative pairs (ties 1/2)."""
     pos = [s for s, y in zip(scores, labels) if y == 1]

@@ -190,7 +190,7 @@ def test_acceptance_02_block_optimality():
         Xg = [fuzzy_map(mat, estimate_antecedent(mat, 2)) for mat in mats]
         P = [rng.normal(size=(x.shape[1], Y.shape[1])) for x in Xg]
         alpha = np.full(len(Xg), 1.0 / len(Xg))
-        newP = classifier.update_consequents(Xg, P, Y, alpha, ecfg)
+        newP = classifier.update_consequents(classifier.factor_design(Xg), P, Y, alpha, ecfg)
         work = [p.copy() for p in P]
         for v in range(len(Xg)):
             preds = [Xg[l] @ (newP[l] if l <= v else work[l]) for l in range(len(Xg))]

@@ -8,6 +8,7 @@ from mvtsk.classifier import (
     EnsembleConfig,
     design_matrices,
     ensemble_objective,
+    factor_design,
     fit,
     fit_design,
     predict,
@@ -83,7 +84,8 @@ class TestConsequents:
         rng = np.random.default_rng(2)
         Y = rng.normal(size=(Xg.shape[0], 2))
         c = cfg(beta=0.0, delta=0.3)
-        P = update_consequents([Xg], [np.zeros((Xg.shape[1], 2))], Y, np.array([1.0]), c)
+        P0 = [np.zeros((Xg.shape[1], 2))]
+        P = update_consequents(factor_design([Xg]), P0, Y, np.array([1.0]), c)
         expected = oracles.ridge_solution_lstsq(Xg, Y, 0.3)
         assert np.allclose(P[0], expected, atol=1e-8)
 
@@ -91,7 +93,7 @@ class TestConsequents:
         Xg_list = mapped_views(seed=3)
         Y = np.zeros((20, 2))
         P0 = [np.zeros((x.shape[1], 2)) for x in Xg_list]
-        P = update_consequents(Xg_list, P0, Y, np.full(2, 0.5), cfg())
+        P = update_consequents(factor_design(Xg_list), P0, Y, np.full(2, 0.5), cfg())
         for p in P:
             assert np.allclose(p, 0.0)
 
@@ -102,7 +104,7 @@ class TestConsequents:
         c = cfg(beta=0.7, delta=0.2)
         alpha = np.array([0.5, 0.3, 0.2])
         P = [rng.normal(size=(x.shape[1], 3)) for x in Xg_list]
-        newP = update_consequents(Xg_list, P, Y, alpha, c)
+        newP = update_consequents(factor_design(Xg_list), P, Y, alpha, c)
         # re-derive the target each view saw during its Gauss-Seidel turn
         work = [p.copy() for p in P]
         for v in range(3):
@@ -123,16 +125,16 @@ class TestConsequents:
         Y = rng.normal(size=(20, 2))
         alpha = np.full(3, 1.0 / 3.0)
         P = [rng.normal(size=(x.shape[1], 2)) for x in Xg_list]
-        P_mean = update_consequents(Xg_list, P, Y, alpha, cfg(alignment="mean"))
-        P_sum = update_consequents(Xg_list, P, Y, alpha, cfg(alignment="sum"))
+        P_mean = update_consequents(factor_design(Xg_list), P, Y, alpha, cfg(alignment="mean"))
+        P_sum = update_consequents(factor_design(Xg_list), P, Y, alpha, cfg(alignment="sum"))
         # three views: the unaveraged target is twice the mean one
         assert not np.allclose(P_mean[0], P_sum[0])
         # two views: both modes coincide (single-other-view target)
         pair = Xg_list[:2]
         P2 = P[:2]
         a2 = np.full(2, 0.5)
-        m = update_consequents(pair, P2, Y, a2, cfg(alignment="mean"))
-        s = update_consequents(pair, P2, Y, a2, cfg(alignment="sum"))
+        m = update_consequents(factor_design(pair), P2, Y, a2, cfg(alignment="mean"))
+        s = update_consequents(factor_design(pair), P2, Y, a2, cfg(alignment="sum"))
         assert np.allclose(m[0], s[0]) and np.allclose(m[1], s[1])
 
     def test_invalid_alignment_mode(self):
@@ -149,6 +151,72 @@ class TestConsequents:
             fuzzy_map(raw, ens.antecedents[v]) @ ens.consequents[v] for v in range(2)
         ]
         assert np.linalg.norm(preds[0] - preds[1]) <= 1e-3
+
+
+def designs(kind, seed=0):
+    """Three designs of one shape family; every kind but "wide" and "tall"
+    is rank-deficient."""
+    rng = np.random.default_rng(seed)
+    n, d = (12, 30) if kind in ("wide", "zero_row") else (40, 8)
+    mats = [rng.uniform(size=(n, d + k)) for k in range(3)]
+    for x in mats:
+        if kind == "duplicate_columns":
+            x[:, 1] = x[:, 0]
+            x[:, -1] = x[:, 2]
+        elif kind == "constant_column":
+            x[:, 3] = 0.7
+            x[:, 4] = -1.3
+        elif kind == "zero_row":
+            x[5] = 0.0
+        if kind not in ("wide", "tall"):
+            assert np.linalg.matrix_rank(x) < min(x.shape)
+    return mats
+
+
+def assert_close_rel(got, want, rtol=1e-10):
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= rtol * np.linalg.norm(w)
+
+
+class TestFactoredSweep:
+    """The sweep through each design's thin SVD against the normal-equation
+    sweep of the oracle."""
+
+    @pytest.mark.parametrize("alignment", ["mean", "sum"])
+    @pytest.mark.parametrize(
+        "kind", ["wide", "tall", "duplicate_columns", "constant_column", "zero_row"]
+    )
+    def test_matches_normal_equations(self, kind, alignment):
+        Xg = designs(kind)
+        rng = np.random.default_rng(1)
+        Y = rng.normal(size=(Xg[0].shape[0], 3))
+        alpha = np.array([0.5, 0.3, 0.2])
+        c = cfg(beta=0.7, delta=0.2, alignment=alignment)
+        factors = factor_design(Xg)
+        got = want = [rng.normal(size=(x.shape[1], 3)) for x in Xg]
+        for _ in range(3):
+            got = update_consequents(factors, got, Y, alpha, c)
+            want = oracles.consequent_sweep_normal_equations(Xg, want, Y, alpha, c)
+            assert_close_rel(got, want)
+
+    @pytest.mark.parametrize("kind", ["wide", "tall"])
+    def test_zero_weight_without_cooperation(self, kind):
+        Xg = designs(kind, seed=2)
+        rng = np.random.default_rng(3)
+        Y = rng.normal(size=(Xg[0].shape[0], 2))
+        alpha = np.array([0.0, 0.4, 0.6])
+        c = cfg(beta=0.0, delta=0.3)
+        P = [rng.normal(size=(x.shape[1], 2)) for x in Xg]
+        got = update_consequents(factor_design(Xg), P, Y, alpha, c)
+        want = oracles.consequent_sweep_normal_equations(Xg, P, Y, alpha, c)
+        assert not got[0].any() and not want[0].any()
+        assert_close_rel(got, want)
+
+    def test_factor_rank_is_min_dimension(self):
+        for x in designs("wide") + designs("tall"):
+            U, s, Vt = factor_design([x])[0]
+            r = min(x.shape)
+            assert U.shape == (x.shape[0], r) and s.shape == (r,) and Vt.shape == (r, x.shape[1])
 
 
 class TestWeights:

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from mvtsk.classifier import EnsembleConfig
 from mvtsk.cli import main
 from mvtsk.dataset import gen_synthetic, load_dataset, save_dataset, split_train_test
 from mvtsk.representation import DualRepConfig
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -90,6 +93,8 @@ class TestTrainPredict:
         ({"ensemble": [1]}, "'ensemble'"),
         ({"representation": {"m": "two"}}, "'representation'"),
         ([1], "JSON object"),
+        ({"ensemble": {"max_iters": 0}}, "max_iters must be >= 1"),
+        ({"ensemble": {"tol": "inf"}}, "tol must be a real number"),
     ])
     def test_bad_config_is_one_line_error(
         self, synth_manifest, tmp_path, capsys, command, doc, named
@@ -99,6 +104,30 @@ class TestTrainPredict:
         rc = main([command, synth_manifest, "--config", str(cfg),
                    "--out", str(tmp_path / "out")])
         assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("command", ["predict", "explain"])
+    @pytest.mark.parametrize("broken, named", [
+        ("list", "JSON object"), ("no_alpha", "'alpha'"), ("extra_config_key", "'KK'"),
+    ])
+    def test_bad_model_file_is_one_line_error(
+        self, synth_manifest, tmp_path, capsys, command, broken, named
+    ):
+        doc = json.loads((DATA / "model-v1.json").read_text())
+        if broken == "list":
+            doc = [1]
+        elif broken == "no_alpha":
+            del doc["ensemble"]["alpha"]
+        else:
+            doc["ensemble"]["config"]["KK"] = 2
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        args = {
+            "predict": ["predict", str(model_path), synth_manifest, "--out", str(tmp_path / "p")],
+            "explain": ["explain", str(model_path), "--view", "0"],
+        }[command]
+        assert main(args) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and named in err
 
