@@ -26,7 +26,7 @@ import numpy as np
 
 from mvtsk.dataset import MultiViewDataset
 from mvtsk.fuzzy import estimate_antecedent, fuzzy_map
-from mvtsk.representation import DualRepModel
+from mvtsk.representation import DualRepModel, require_integers
 
 
 @dataclass
@@ -56,6 +56,7 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "K", "max_iters")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.max_iters < 1:
@@ -139,6 +140,9 @@ def update_consequents(
     t = alpha_v Y + beta lam_v, that minimizer is
     V diag(s / ((alpha_v + beta) s^2 + delta)) U^T t: the right-hand side
     X^T t lies in span(V), so the thin factor solves N < D and N >= D alike.
+
+    Returns the new consequents and every view's predictions Xg_v @ P_v
+    under them.
     """
     P = list(P)
     preds = [U @ (s[:, None] * (Vt @ p)) for (U, s, Vt), p in zip(factors, P)]
@@ -148,27 +152,30 @@ def update_consequents(
         shrink = s / ((alpha[v] + cfg.beta) * s**2 + cfg.delta)
         P[v] = Vt.T @ (shrink[:, None] * proj)
         preds[v] = U @ ((s * shrink)[:, None] * proj)
-    return P
+    return P, preds
 
 
-def update_weights(Xg: list, P: list, Y: np.ndarray, cfg: EnsembleConfig) -> np.ndarray:
+def update_weights(preds: list, Y: np.ndarray, cfg: EnsembleConfig) -> np.ndarray:
     """Softmax of negative per-view squared losses at temperature gamma,
-    computed stably by shifting with the minimum loss."""
-    losses = np.array([((Xg[v] @ P[v] - Y) ** 2).sum() for v in range(len(Xg))])
+    computed stably by shifting with the minimum loss.  ``preds[v]`` is
+    view v's prediction Xg_v @ P_v."""
+    losses = np.array([((pred - Y) ** 2).sum() for pred in preds])
     scores = -(losses - losses.min()) / cfg.gamma
     w = np.exp(scores)
     return w / w.sum()
 
 
-def ensemble_objective(Xg: list, P: list, alpha: np.ndarray, Y: np.ndarray, cfg: EnsembleConfig) -> float:
-    """Weighted training losses + cooperation misfit + entropy + ridge.
+def ensemble_objective(
+    preds: list, P: list, alpha: np.ndarray, Y: np.ndarray, cfg: EnsembleConfig
+) -> float:
+    """Weighted training losses + cooperation misfit + entropy + ridge, from
+    the views' predictions ``preds[v] = Xg_v @ P_v`` and consequents P.
 
     Reported for convergence monitoring; the coupled updates are a
     fixed-point scheme, so the value is not guaranteed monotone.
     """
-    preds = [Xg[v] @ P[v] for v in range(len(Xg))]
     total = 0.0
-    for v in range(len(Xg)):
+    for v in range(len(preds)):
         total += alpha[v] * float(((preds[v] - Y) ** 2).sum())
         lam = _alignment_target(preds, v, cfg)
         total += cfg.beta * float(((preds[v] - lam) ** 2).sum())
@@ -188,18 +195,17 @@ def fit_design(design: list, roles: list, Y: np.ndarray, cfg: EnsembleConfig) ->
     """
     Y = np.asarray(Y, dtype=float)
     antecedents = [estimate_antecedent(mat, cfg.K, cfg.h) for mat in design]
-    Xg = [fuzzy_map(mat, ant) for mat, ant in zip(design, antecedents)]
-    factors = factor_design(Xg)
+    factors = factor_design([fuzzy_map(mat, ant) for mat, ant in zip(design, antecedents)])
     n_views = len(design)
-    P = [np.zeros((x.shape[1], Y.shape[1])) for x in Xg]
+    P = [np.zeros((Vt.shape[1], Y.shape[1])) for _, _, Vt in factors]
     alpha = np.full(n_views, 1.0 / n_views)
 
     history = []
     for _ in range(cfg.max_iters):
         prev = P
-        P = update_consequents(factors, P, Y, alpha, cfg)
-        alpha = update_weights(Xg, P, Y, cfg)
-        history.append(ensemble_objective(Xg, P, alpha, Y, cfg))
+        P, preds = update_consequents(factors, P, Y, alpha, cfg)
+        alpha = update_weights(preds, Y, cfg)
+        history.append(ensemble_objective(preds, P, alpha, Y, cfg))
         if not np.isfinite(history[-1]):
             raise RuntimeError(f"ensemble objective diverged: {history[-5:]}")
         change = max(

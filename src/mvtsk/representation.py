@@ -14,6 +14,12 @@ on the same graphs (lam3).  Every block has a closed-form minimizer, so
 training is plain block coordinate descent; a tiny ridge keeps all systems
 solvable.
 
+Graphs over fewer than ``graphs.SPARSE_MIN_NODES`` instances come as dense
+N x N operators, and the penalties are one dense matrix M2 per view.  Larger
+graphs stay sparse: the objective and the M2 @ X term of the imputation
+update apply each graph's operators from its edges, and only the dense
+missing-row block of M2 is formed for the imputation solve.
+
 Test-time transform keeps the trained bases frozen and learns only the test
 set's representations and corrections with the same updates.
 """
@@ -21,17 +27,27 @@ set's representations and corrections with the same updates.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from mvtsk.dataset import DegeneracyWarning, MultiViewDataset
-from mvtsk.graphs import GraphOperators, build_operators
+from mvtsk.graphs import GraphOperators, SparseGraphOperators, build_operators
 
 
 class ConvergenceError(RuntimeError):
     """The objective became non-finite during optimization."""
+
+
+def require_integers(cfg, *names):
+    """ValueError naming the first field of ``cfg`` among ``names`` that is
+    not an integer (bools are not)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -62,6 +78,7 @@ class DualRepConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "m", "p", "max_iters")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if min(self.lam1, self.lam2, self.lam3) < 0:
@@ -73,6 +90,7 @@ class DualRepConfig:
         if self.ridge <= 0:
             raise ValueError("ridge must be positive")
         if self.graph_refresh is not None and not math.isinf(self.graph_refresh):
+            require_integers(self, "graph_refresh")
             if self.graph_refresh < 1:
                 raise ValueError("graph_refresh must be >= 1, or None to freeze")
         elif self.graph_refresh is not None:
@@ -181,8 +199,8 @@ def _penalty_matrix(spec_op: GraphOperators, common_op: GraphOperators, cfg: Dua
 
 
 def update_error(
-    model: DualRepModel, v: int, spec_op: GraphOperators, common_op: GraphOperators,
-    cfg: DualRepConfig,
+    model: DualRepModel, v: int, spec_op: GraphOperators | SparseGraphOperators,
+    common_op: GraphOperators | SparseGraphOperators, cfg: DualRepConfig,
 ) -> np.ndarray:
     """Closed-form corrections for view v's missing rows.
 
@@ -194,11 +212,18 @@ def update_error(
     u = np.zeros_like(model.U[v])
     if not miss.any():
         return u
-    m2 = _penalty_matrix(spec_op, common_op, cfg)
-    rhs_full = model.reconstruction(v) - model.X[v] - m2 @ model.X[v]
-    sub = np.ix_(miss, miss)
+    X = model.X[v]
+    if isinstance(spec_op, GraphOperators):
+        m2 = _penalty_matrix(spec_op, common_op, cfg)
+        m2_x, block = m2 @ X, m2[np.ix_(miss, miss)]
+    else:
+        ops = (spec_op, common_op)
+        m2_x = sum(op.penalty_times(X, cfg.lam2, cfg.lam3) for op in ops)
+        rows = np.flatnonzero(miss)
+        block = sum(op.penalty_block(rows, cfg.lam2, cfg.lam3) for op in ops)
+    rhs_full = model.reconstruction(v) - X - m2_x
     nm = int(miss.sum())
-    system = np.eye(nm) + m2[sub] + cfg.ridge * np.eye(nm)
+    system = np.eye(nm) + block + cfg.ridge * np.eye(nm)
     try:
         u[miss] = np.linalg.solve(system, rhs_full[miss])
     except np.linalg.LinAlgError as exc:
@@ -252,10 +277,14 @@ def objective(model: DualRepModel, specific_ops, common_ops, cfg: DualRepConfig)
         resid = xt - model.reconstruction(v)
         total += float((resid**2).sum())
         total += cfg.lam1 * float(((model.Hs[v].T @ model.Hc) ** 2).sum())
-        lap = specific_ops[v].laplacian + common_ops.laplacian
-        rec = specific_ops[v].reconstruction + common_ops.reconstruction
-        total += cfg.lam2 * float(np.sum(xt * (lap @ xt)))
-        total += cfg.lam3 * float(np.sum(xt * (rec @ xt)))
+        if isinstance(common_ops, GraphOperators):
+            lap = specific_ops[v].laplacian + common_ops.laplacian
+            rec = specific_ops[v].reconstruction + common_ops.reconstruction
+            total += cfg.lam2 * float(np.sum(xt * (lap @ xt)))
+            total += cfg.lam3 * float(np.sum(xt * (rec @ xt)))
+        else:
+            for op in (specific_ops[v], common_ops):
+                total += op.penalty_value(xt, cfg.lam2, cfg.lam3)
     return total
 
 

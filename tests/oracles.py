@@ -11,7 +11,7 @@ from scipy.spatial.distance import cdist
 
 from mvtsk.cli import _apply_overrides
 from mvtsk.dataset import DegeneracyWarning
-from mvtsk.graphs import knn_graph, row_normalize
+from mvtsk.graphs import knn_graph, laplacian, reconstruction_operator, row_normalize
 from mvtsk.metrics import accuracy
 from mvtsk.pipeline import predict_model, train_model
 
@@ -104,9 +104,14 @@ def slow_representation_objective(model, cfg):
 # Analytic gradients of the frozen-graph objective
 # ---------------------------------------------------------------------------
 
-def grad_error(model, v, specific_ops, common_ops, cfg):
-    m2 = cfg.lam2 * (specific_ops[v].laplacian + common_ops.laplacian)
-    m2 = m2 + cfg.lam3 * (specific_ops[v].reconstruction + common_ops.reconstruction)
+def grad_error(model, v, cfg):
+    """Gradient in view v's corrections, zero on present rows.  Both graph
+    penalties are formed densely from graphs on the model's current
+    representations, whatever form the package keeps them in."""
+    m2 = 0.0
+    for points in (model.Hs[v].T, model.Hc.T):
+        graph = knn_graph(points, cfg.p)
+        m2 = m2 + cfg.lam2 * laplacian(graph) + cfg.lam3 * reconstruction_operator(graph)
     recon = model.Hs[v].T @ model.Bs[v] + model.Hc.T @ model.Bc[v]
     grad = 2.0 * ((model.Xt[v] - recon) + m2 @ model.Xt[v])
     grad[~model.missing[v]] = 0.0

@@ -144,7 +144,7 @@ def test_acceptance_02_block_optimality():
         for v in range(3):
             model.U[v] = update_error(model, v, sops[v], cops, cfg)
             model.refresh_imputed(v)
-            g = oracles.grad_error(model, v, sops, cops, cfg)
+            g = oracles.grad_error(model, v, cfg)
             worst_rel = max(worst_rel, rel(g, model.U[v]))
             miss = model.missing[v]
             if miss.any():
@@ -190,7 +190,9 @@ def test_acceptance_02_block_optimality():
         Xg = [fuzzy_map(mat, estimate_antecedent(mat, 2)) for mat in mats]
         P = [rng.normal(size=(x.shape[1], Y.shape[1])) for x in Xg]
         alpha = np.full(len(Xg), 1.0 / len(Xg))
-        newP = classifier.update_consequents(classifier.factor_design(Xg), P, Y, alpha, ecfg)
+        newP, sweep_preds = classifier.update_consequents(
+            classifier.factor_design(Xg), P, Y, alpha, ecfg
+        )
         work = [p.copy() for p in P]
         for v in range(len(Xg)):
             preds = [Xg[l] @ (newP[l] if l <= v else work[l]) for l in range(len(Xg))]
@@ -215,7 +217,7 @@ def test_acceptance_02_block_optimality():
 
         # weight update satisfies the entropy-weighting stationarity:
         # losses + gamma * log(alpha) constant across views
-        alpha_new = classifier.update_weights(Xg, newP, Y, ecfg)
+        alpha_new = classifier.update_weights(sweep_preds, Y, ecfg)
         losses = np.array([((Xg[v] @ newP[v] - Y) ** 2).sum() for v in range(len(Xg))])
         station = losses + ecfg.gamma * np.log(alpha_new)
         worst_rel = max(worst_rel, np.ptp(station) / (1.0 + np.abs(station).max()))

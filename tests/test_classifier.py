@@ -85,7 +85,7 @@ class TestConsequents:
         Y = rng.normal(size=(Xg.shape[0], 2))
         c = cfg(beta=0.0, delta=0.3)
         P0 = [np.zeros((Xg.shape[1], 2))]
-        P = update_consequents(factor_design([Xg]), P0, Y, np.array([1.0]), c)
+        P, _ = update_consequents(factor_design([Xg]), P0, Y, np.array([1.0]), c)
         expected = oracles.ridge_solution_lstsq(Xg, Y, 0.3)
         assert np.allclose(P[0], expected, atol=1e-8)
 
@@ -93,7 +93,7 @@ class TestConsequents:
         Xg_list = mapped_views(seed=3)
         Y = np.zeros((20, 2))
         P0 = [np.zeros((x.shape[1], 2)) for x in Xg_list]
-        P = update_consequents(factor_design(Xg_list), P0, Y, np.full(2, 0.5), cfg())
+        P, _ = update_consequents(factor_design(Xg_list), P0, Y, np.full(2, 0.5), cfg())
         for p in P:
             assert np.allclose(p, 0.0)
 
@@ -104,7 +104,7 @@ class TestConsequents:
         c = cfg(beta=0.7, delta=0.2)
         alpha = np.array([0.5, 0.3, 0.2])
         P = [rng.normal(size=(x.shape[1], 3)) for x in Xg_list]
-        newP = update_consequents(factor_design(Xg_list), P, Y, alpha, c)
+        newP, _ = update_consequents(factor_design(Xg_list), P, Y, alpha, c)
         # re-derive the target each view saw during its Gauss-Seidel turn
         work = [p.copy() for p in P]
         for v in range(3):
@@ -125,21 +125,27 @@ class TestConsequents:
         Y = rng.normal(size=(20, 2))
         alpha = np.full(3, 1.0 / 3.0)
         P = [rng.normal(size=(x.shape[1], 2)) for x in Xg_list]
-        P_mean = update_consequents(factor_design(Xg_list), P, Y, alpha, cfg(alignment="mean"))
-        P_sum = update_consequents(factor_design(Xg_list), P, Y, alpha, cfg(alignment="sum"))
+        P_mean, _ = update_consequents(factor_design(Xg_list), P, Y, alpha, cfg(alignment="mean"))
+        P_sum, _ = update_consequents(factor_design(Xg_list), P, Y, alpha, cfg(alignment="sum"))
         # three views: the unaveraged target is twice the mean one
         assert not np.allclose(P_mean[0], P_sum[0])
         # two views: both modes coincide (single-other-view target)
         pair = Xg_list[:2]
         P2 = P[:2]
         a2 = np.full(2, 0.5)
-        m = update_consequents(factor_design(pair), P2, Y, a2, cfg(alignment="mean"))
-        s = update_consequents(factor_design(pair), P2, Y, a2, cfg(alignment="sum"))
+        m, _ = update_consequents(factor_design(pair), P2, Y, a2, cfg(alignment="mean"))
+        s, _ = update_consequents(factor_design(pair), P2, Y, a2, cfg(alignment="sum"))
         assert np.allclose(m[0], s[0]) and np.allclose(m[1], s[1])
 
     def test_invalid_alignment_mode(self):
         with pytest.raises(ValueError, match="alignment"):
             cfg(alignment="median")
+
+    @pytest.mark.parametrize("field", ["K", "max_iters"])
+    @pytest.mark.parametrize("value", [2.0, 2.5, False])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EnsembleConfig(**{field: value})
 
     def test_identical_views_align_under_strong_beta(self):
         rng = np.random.default_rng(7)
@@ -173,6 +179,10 @@ def designs(kind, seed=0):
     return mats
 
 
+def predictions(Xg, P):
+    return [x @ p for x, p in zip(Xg, P)]
+
+
 def assert_close_rel(got, want, rtol=1e-10):
     for g, w in zip(got, want):
         assert np.linalg.norm(g - w) <= rtol * np.linalg.norm(w)
@@ -195,9 +205,10 @@ class TestFactoredSweep:
         factors = factor_design(Xg)
         got = want = [rng.normal(size=(x.shape[1], 3)) for x in Xg]
         for _ in range(3):
-            got = update_consequents(factors, got, Y, alpha, c)
+            got, preds = update_consequents(factors, got, Y, alpha, c)
             want = oracles.consequent_sweep_normal_equations(Xg, want, Y, alpha, c)
             assert_close_rel(got, want)
+            assert_close_rel(preds, predictions(Xg, got))
 
     @pytest.mark.parametrize("kind", ["wide", "tall"])
     def test_zero_weight_without_cooperation(self, kind):
@@ -207,7 +218,7 @@ class TestFactoredSweep:
         alpha = np.array([0.0, 0.4, 0.6])
         c = cfg(beta=0.0, delta=0.3)
         P = [rng.normal(size=(x.shape[1], 2)) for x in Xg]
-        got = update_consequents(factor_design(Xg), P, Y, alpha, c)
+        got, _ = update_consequents(factor_design(Xg), P, Y, alpha, c)
         want = oracles.consequent_sweep_normal_equations(Xg, P, Y, alpha, c)
         assert not got[0].any() and not want[0].any()
         assert_close_rel(got, want)
@@ -225,7 +236,7 @@ class TestWeights:
         Xg_list[1] = Xg_list[0].copy()
         Y = np.random.default_rng(9).normal(size=(20, 2))
         P = [np.zeros((x.shape[1], 2)) for x in Xg_list]
-        alpha = update_weights(Xg_list, P, Y, cfg())
+        alpha = update_weights(predictions(Xg_list, P), Y, cfg())
         assert np.allclose(alpha, 0.5, atol=1e-12)
 
     def test_temperature_limit_uniform(self):
@@ -233,7 +244,7 @@ class TestWeights:
         rng = np.random.default_rng(11)
         Y = rng.normal(size=(20, 2))
         P = [rng.normal(size=(x.shape[1], 2)) for x in Xg_list]
-        alpha = update_weights(Xg_list, P, Y, cfg(gamma=1e12))
+        alpha = update_weights(predictions(Xg_list, P), Y, cfg(gamma=1e12))
         assert np.max(np.abs(alpha - 1.0 / 3.0)) <= 1e-9
 
     def test_softmax_arithmetic(self):
@@ -246,7 +257,7 @@ class TestWeights:
             np.full((3, 1), np.sqrt(gamma / 3.0)),
             np.full((3, 1), np.sqrt(2.0 * gamma / 3.0)),
         ]
-        alpha = update_weights(Xg_list, P, Y, cfg(gamma=gamma))
+        alpha = update_weights(predictions(Xg_list, P), Y, cfg(gamma=gamma))
         expect = np.exp([0.0, -1.0, -2.0])
         expect /= expect.sum()
         assert np.allclose(alpha, expect, atol=1e-9)
@@ -260,7 +271,7 @@ class TestWeights:
         Xg_list = [rng.normal(size=(8, 3)) for _ in range(k)]
         P = [rng.normal(size=(3, 2)) for _ in range(k)]
         Y = rng.normal(size=(8, 2))
-        alpha = update_weights(Xg_list, P, Y, cfg(gamma=float(rng.uniform(0.1, 10))))
+        alpha = update_weights(predictions(Xg_list, P), Y, cfg(gamma=float(rng.uniform(0.1, 10))))
         assert np.all(alpha >= 0)
         assert abs(alpha.sum() - 1.0) <= 1e-12
 
@@ -272,7 +283,7 @@ class TestObjective:
         P = [np.zeros((x.shape[1], 2)) for x in Xg_list]
         alpha = np.full(2, 0.5)
         c = cfg(beta=0.0, gamma=1.3, delta=1e-12)
-        val = ensemble_objective(Xg_list, P, alpha, Y, c)
+        val = ensemble_objective(predictions(Xg_list, P), P, alpha, Y, c)
         assert val == pytest.approx(-1.3 * np.log(2.0), abs=1e-9)
 
     def test_entropy_bounds(self):
@@ -284,7 +295,7 @@ class TestObjective:
         for _ in range(20):
             w = rng.uniform(size=3)
             w /= w.sum()
-            val = ensemble_objective(Xg_list, P, w, Y, c)
+            val = ensemble_objective(predictions(Xg_list, P), P, w, Y, c)
             assert -np.log(3.0) - 1e-9 <= val <= 1e-9
 
 

@@ -95,6 +95,8 @@ class TestTrainPredict:
         ([1], "JSON object"),
         ({"ensemble": {"max_iters": 0}}, "max_iters must be >= 1"),
         ({"ensemble": {"tol": "inf"}}, "tol must be a real number"),
+        ({"ensemble": {"max_iters": 2.5}}, "max_iters must be an integer"),
+        ({"representation": {"max_iters": 2.5}}, "max_iters must be an integer"),
     ])
     def test_bad_config_is_one_line_error(
         self, synth_manifest, tmp_path, capsys, command, doc, named

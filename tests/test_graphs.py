@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvtsk import graphs
 from mvtsk.dataset import DegeneracyWarning
 from mvtsk.graphs import (
+    GraphOperators,
+    SparseGraphOperators,
     build_operators,
     knn_graph,
     laplacian,
@@ -205,3 +208,63 @@ def test_build_operators_is_laplacian_and_reconstruction_of_knn_graph():
     graph = knn_graph(pts, 4)
     assert np.array_equal(ops.laplacian, laplacian(graph))
     assert np.array_equal(ops.reconstruction, reconstruction_operator(graph))
+
+
+def dense_penalty(points, p, lam2, lam3, bandwidth="median"):
+    graph = knn_graph(points, p, bandwidth)
+    return lam2 * laplacian(graph) + lam3 * reconstruction_operator(graph)
+
+
+class TestSparseOperators:
+    """The edge-list operators against the dense reference forms."""
+
+    POINT_SETS = {
+        "random": np.random.default_rng(20).normal(size=(40, 3)),
+        # integer grid: many ties at the p-th distance
+        "ties": np.random.default_rng(21).integers(0, 3, size=(40, 2)).astype(float),
+    }
+
+    @pytest.mark.parametrize("kind", list(POINT_SETS))
+    def test_sparse_weights_equal_dense(self, kind):
+        pts = self.POINT_SETS[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            dense = knn_graph(pts, 6)
+            csr = knn_graph(pts, 6, sparse_weights=True)
+        assert csr.weights.format == "csr" and csr.weights.has_sorted_indices
+        assert np.array_equal(csr.weights.toarray(), dense.weights)
+        assert (csr.p, csr.bandwidth) == (dense.p, dense.bandwidth)
+
+    @pytest.mark.parametrize("kind", list(POINT_SETS))
+    @pytest.mark.parametrize("bandwidth", ["median", 1e-3])
+    def test_operators_match_dense(self, kind, bandwidth):
+        # bandwidth 1e-3 underflows most affinities to zero, leaving zero rows
+        pts = self.POINT_SETS[kind]
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(len(pts), 4))
+        rows = np.flatnonzero(rng.uniform(size=len(pts)) < 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            ops = SparseGraphOperators.from_graph(
+                knn_graph(pts, 6, bandwidth, sparse_weights=True)
+            )
+            M = dense_penalty(pts, 6, 0.7, 1.3, bandwidth)
+        assert np.allclose(ops.penalty_times(X, 0.7, 1.3), M @ X, rtol=0, atol=1e-12)
+        assert ops.penalty_value(X, 0.7, 1.3) == pytest.approx(np.sum(X * (M @ X)), rel=1e-12)
+        assert np.allclose(ops.penalty_block(rows, 0.7, 1.3), M[np.ix_(rows, rows)],
+                           rtol=0, atol=1e-12)
+
+    def test_single_point_reconstruction_is_identity(self):
+        ops = SparseGraphOperators.from_graph(
+            knn_graph(np.array([[1.0, 2.0]]), p=1, sparse_weights=True)
+        )
+        X = np.array([[3.0, -1.0]])
+        assert np.array_equal(ops.penalty_times(X, 0.5, 2.0), 2.0 * X)
+        assert np.array_equal(ops.penalty_block(np.array([0]), 0.5, 2.0), [[2.0]])
+
+    def test_threshold_picks_the_form(self, monkeypatch):
+        pts = np.random.default_rng(23).normal(size=(12, 3))
+        monkeypatch.setattr(graphs, "SPARSE_MIN_NODES", 13)
+        assert isinstance(build_operators(pts, 4), GraphOperators)
+        monkeypatch.setattr(graphs, "SPARSE_MIN_NODES", 12)
+        assert isinstance(build_operators(pts, 4), SparseGraphOperators)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mvtsk import baselines
+from mvtsk import baselines, graphs, pipeline
+from mvtsk.classifier import EnsembleConfig
 from mvtsk.dataset import (
     DegeneracyWarning,
     apply_mask,
@@ -9,7 +10,7 @@ from mvtsk.dataset import (
     fit_normalizer,
     gen_synthetic,
 )
-from mvtsk.graphs import knn_graph, laplacian
+from mvtsk.graphs import SparseGraphOperators, knn_graph, laplacian
 from mvtsk.representation import (
     DualRepConfig,
     fit,
@@ -26,6 +27,7 @@ from mvtsk.representation import (
 )
 
 import oracles
+from test_acceptance import random_instance
 
 
 def planted(n=12, v=3, dims=(5, 4, 6), m=2, noise=0.1, sep=2.0, seed=5, mask=0.4, mask_seed=6):
@@ -49,6 +51,16 @@ class TestConfig:
 
     def test_p_one_accepted(self):
         assert DualRepConfig(p=1).p == 1
+
+    @pytest.mark.parametrize("field", ["m", "p", "max_iters", "graph_refresh"])
+    @pytest.mark.parametrize("value", [5.0, 2.5, True])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DualRepConfig(**{field: value})
+
+    def test_numpy_integers_and_infinite_refresh_accepted(self):
+        cfg = DualRepConfig(m=np.int64(3), p=np.int32(4), graph_refresh=float("inf"))
+        assert (cfg.m, cfg.p, cfg.graph_refresh) == (3, 4, None)
 
 
 class TestInit:
@@ -140,7 +152,7 @@ class TestBlockUpdates:
         for v in range(model.n_views):
             model.U[v] = update_error(model, v, sops[v], cops, cfg)
             model.refresh_imputed(v)
-            grad = oracles.grad_error(model, v, sops, cops, cfg)
+            grad = oracles.grad_error(model, v, cfg)
             rel = np.linalg.norm(grad) / (1.0 + np.linalg.norm(model.U[v]))
             assert rel <= 1e-6
 
@@ -283,7 +295,7 @@ class TestBlockUpdates:
                 return objective(model, sops, cops, cfg)
             fd = oracles.central_difference(J_u, model.U[v], mask=miss)
             model.refresh_imputed(v)
-            assert np.max(np.abs(fd - oracles.grad_error(model, v, sops, cops, cfg))) <= 1e-4
+            assert np.max(np.abs(fd - oracles.grad_error(model, v, cfg))) <= 1e-4
 
 
 class TestObjective:
@@ -333,6 +345,73 @@ class TestObjective:
         model = init_model(ds, cfg)
         sops, cops = refresh_graphs(model, cfg)
         assert objective(model, sops, cops, cfg) >= -1e-10
+
+
+def assert_agree(got, want, tol=1e-10):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= tol * max(1.0, float(np.max(np.abs(want))))
+
+
+class TestSparseGraphs:
+    """Stage 1 with graphs kept sparse against the dense operators.
+
+    Patching ``graphs.SPARSE_MIN_NODES`` runs the same small problems through
+    both forms."""
+
+    @staticmethod
+    def _assert_forms_agree(monkeypatch, ds, cfg):
+        """Train and score with dense graphs, then with every graph sparse."""
+        runs = []
+        for threshold in (graphs.SPARSE_MIN_NODES, 0):
+            monkeypatch.setattr(graphs, "SPARSE_MIN_NODES", threshold)
+            model = pipeline.train_model(ds, cfg, EnsembleConfig(K=2, max_iters=20))
+            runs.append((model.rep_model, pipeline.predict_model(model, ds)[0]))
+        (dense, dense_scores), (sparse, sparse_scores) = runs
+        assert_agree(sparse.objective_trace, dense.objective_trace)
+        for sparse_xt, dense_xt in zip(sparse.Xt, dense.Xt):
+            assert_agree(sparse_xt, dense_xt)
+        assert_agree(sparse_scores, dense_scores)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_block_optimality_make_ups_agree(self, monkeypatch, seed):
+        ds, cfg = random_instance(seed)
+        self._assert_forms_agree(monkeypatch, ds, cfg)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_frozen_graph_make_ups_agree(self, monkeypatch, seed):
+        ds, _ = random_instance(100 + seed)
+        cfg = DualRepConfig(m=2, lam1=0.5, lam2=0.5, lam3=0.5, p=3,
+                            max_iters=50, tol=0.0, graph_refresh=None, seed=seed)
+        self._assert_forms_agree(monkeypatch, ds, cfg)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_objective_matches_double_sum_oracle(self, monkeypatch, seed):
+        ds = planted(n=7, dims=(3, 4, 3), seed=50 + seed, mask=0.3)
+        cfg = small_cfg()
+        model = init_model(ds, cfg)
+        monkeypatch.setattr(graphs, "SPARSE_MIN_NODES", 7)
+        sops, cops = refresh_graphs(model, cfg)
+        assert isinstance(cops, SparseGraphOperators)
+        slow = oracles.slow_representation_objective(model, cfg)
+        assert objective(model, sops, cops, cfg) == pytest.approx(
+            slow, abs=1e-8 * max(1.0, abs(slow))
+        )
+
+    def test_error_update_and_objective_above_threshold(self, monkeypatch):
+        ds = planted(n=graphs.SPARSE_MIN_NODES + 10, mask=0.5)
+        cfg = small_cfg(p=10)
+        model = init_model(ds, cfg)
+        sops, cops = refresh_graphs(model, cfg)
+        assert isinstance(cops, SparseGraphOperators)
+        monkeypatch.setattr(graphs, "SPARSE_MIN_NODES", 10**9)
+        dense_ops = refresh_graphs(model, cfg)
+        for v in range(model.n_views):
+            model.U[v] = update_error(model, v, sops[v], cops, cfg)
+            model.refresh_imputed(v)
+            grad = oracles.grad_error(model, v, cfg)
+            assert np.linalg.norm(grad) / (1.0 + np.linalg.norm(model.U[v])) <= 1e-6
+        want = objective(model, *dense_ops, cfg)
+        assert objective(model, sops, cops, cfg) == pytest.approx(want, rel=1e-12)
 
 
 class TestFit:
