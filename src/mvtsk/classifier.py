@@ -56,7 +56,7 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, "K", "max_iters")
+        require_integers(self, "K", "max_iters", "seed")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.max_iters < 1:

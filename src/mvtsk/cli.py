@@ -7,6 +7,12 @@ Holm over benchmark CSVs), explain (rule report and decision traces).
 Every command is deterministic under a fixed --seed; bench derives one seed
 per (rate, repetition) cell from the root seed so any cell can be reproduced
 in isolation.
+
+bench runs its cells in forked worker processes, one per CPU in the affinity
+mask (``taskset -c`` limits them). Its files and stdout lines are
+byte-identical for any number of workers, and failed cells' tracebacks go to
+stderr in cell order. A DegeneracyWarning may print once per worker; pin
+BLAS to one thread (OMP_NUM_THREADS=1) to avoid oversubscribing the CPUs.
 """
 
 from __future__ import annotations
@@ -16,9 +22,11 @@ import csv
 import dataclasses
 import itertools
 import json
+import multiprocessing
 import os
 import sys
 import traceback
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -217,6 +225,30 @@ def _run_cell(ds, rate, rep, rep_cfg, ens_cfg, test_fraction, root_seed, rate_id
     }
 
 
+# The run's inputs in a bench worker, set once by the pool's initializer:
+# (dataset, rep_cfg, ens_cfg, grid points, test fraction, root seed).
+_bench_inputs = None
+
+
+def _init_bench_worker(inputs):
+    global _bench_inputs
+    _bench_inputs = inputs
+
+
+def _bench_cell(cell):
+    """One (rate_idx, rate, rep) cell in a worker: ``(metrics, None)``, or
+    ``(None, (error, traceback))`` if it failed."""
+    rate_idx, rate, rep = cell
+    ds, rep_cfg, ens_cfg, points, test_fraction, root_seed = _bench_inputs
+    try:
+        metrics = _run_cell(
+            ds, rate, rep, rep_cfg, ens_cfg, test_fraction, root_seed, rate_idx, points,
+        )
+    except Exception as exc:  # cell failures are recorded, the run continues
+        return None, (f"{type(exc).__name__}: {exc}", traceback.format_exc())
+    return metrics, None
+
+
 def cmd_bench(args) -> int:
     rep_cfg, ens_cfg, doc = _load_run_config(args.config)
     rates = [float(x) for x in args.rates.split(",")]
@@ -237,22 +269,29 @@ def cmd_bench(args) -> int:
     ds = _dataset.load_dataset(args.manifest)
     os.makedirs(args.out, exist_ok=True)
 
+    cells = [(rate_idx, rate, rep)
+             for rate_idx, rate in enumerate(rates) for rep in range(args.reps)]
     rows, errors = [], []
     reports = {rate: _metrics.MetricReport() for rate in rates}
-    for rate_idx, rate in enumerate(rates):
-        for rep in range(args.reps):
-            try:
-                cell = _run_cell(
-                    ds, rate, rep, rep_cfg, ens_cfg, test_fraction,
-                    args.seed, rate_idx, points,
-                )
+    # Forked workers inherit the run's inputs and the flushed streams; a
+    # worker writes nothing to stdout, so the parent's lines stay in order.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with ProcessPoolExecutor(
+        min(len(cells), len(os.sched_getaffinity(0))),
+        mp_context=multiprocessing.get_context("fork"), initializer=_init_bench_worker,
+        initargs=((ds, rep_cfg, ens_cfg, points, test_fraction, args.seed),),
+    ) as pool:
+        # an exception out of map's iterator (Ctrl-C, say) cancels the cells
+        # not yet started; leaving the block joins every worker
+        for (_, rate, rep), (cell, failure) in zip(cells, pool.map(_bench_cell, cells)):
+            if failure is None:
                 reports[rate].add(cell["acc"], cell["auc"], cell["f1"])
                 rows.append((rate, rep, cell["acc"], cell["auc"], cell["f1"]))
-            except Exception as exc:  # cell failures are recorded, run continues
-                errors.append({
-                    "rate": rate, "rep": rep, "error": f"{type(exc).__name__}: {exc}",
-                })
-                traceback.print_exc(file=sys.stderr)
+            else:
+                error, trace = failure
+                errors.append({"rate": rate, "rep": rep, "error": error})
+                sys.stderr.write(trace)
 
     results_path = os.path.join(args.out, "results.csv")
     with open(results_path, "w", newline="") as fh:

@@ -78,7 +78,7 @@ class DualRepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, "m", "p", "max_iters")
+        require_integers(self, "m", "p", "max_iters", "seed")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if min(self.lam1, self.lam2, self.lam3) < 0:
@@ -222,10 +222,11 @@ def update_error(
         rows = np.flatnonzero(miss)
         block = sum(op.penalty_block(rows, cfg.lam2, cfg.lam3) for op in ops)
     rhs_full = model.reconstruction(v) - X - m2_x
-    nm = int(miss.sum())
-    system = np.eye(nm) + block + cfg.ridge * np.eye(nm)
+    diagonal = np.diag_indices_from(block)  # the system is I + block + ridge I
+    block[diagonal] += 1.0
+    block[diagonal] += cfg.ridge
     try:
-        u[miss] = np.linalg.solve(system, rhs_full[miss])
+        u[miss] = np.linalg.solve(block, rhs_full[miss])
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"singular imputation system for view {v}; graphs are ill-conditioned"

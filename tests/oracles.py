@@ -4,11 +4,17 @@ Everything here is written the slow, obvious way (explicit loops, double
 sums, rule-by-rule evaluation) so it shares no code path with the package.
 """
 
+import csv
+import json
+import os
+import sys
+import traceback
 import warnings
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from mvtsk import cli
 from mvtsk.cli import _apply_overrides
 from mvtsk.dataset import DegeneracyWarning
 from mvtsk.graphs import knn_graph, laplacian, reconstruction_operator, row_normalize
@@ -261,3 +267,74 @@ def select_by_retraining(sub_tr, sub_val, rep_cfg, ens_cfg, points):
         if best is None or acc > best[0]:
             best = (acc, overrides)
     return best[1]
+
+
+# ---------------------------------------------------------------------------
+# `mvtsk bench` running its cells one after another in this process
+# ---------------------------------------------------------------------------
+
+def bench_serially(args):
+    """``cli.cmd_bench`` as a plain loop over the cells, without worker
+    processes; each cell's traceback goes to stderr as the cell fails."""
+    rep_cfg, ens_cfg, doc = cli._load_run_config(args.config)
+    rates = [float(x) for x in args.rates.split(",")]
+    if any(not 0.0 <= r < 1.0 for r in rates):
+        raise ValueError(f"rates must lie in [0, 1): {rates}")
+    if args.reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {args.reps}")
+    test_fraction = (
+        args.test_fraction if args.test_fraction is not None
+        else doc.get("test_fraction", 0.3)
+    )
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test fraction must lie in (0, 1), got {test_fraction}")
+    points = None
+    if args.grid:
+        with open(args.grid) as fh:
+            points = cli._grid_points(json.load(fh), rep_cfg, ens_cfg)
+    ds = cli._dataset.load_dataset(args.manifest)
+    os.makedirs(args.out, exist_ok=True)
+
+    rows, errors = [], []
+    reports = {rate: cli._metrics.MetricReport() for rate in rates}
+    for rate_idx, rate in enumerate(rates):
+        for rep in range(args.reps):
+            try:
+                cell = cli._run_cell(
+                    ds, rate, rep, rep_cfg, ens_cfg, test_fraction,
+                    args.seed, rate_idx, points,
+                )
+                reports[rate].add(cell["acc"], cell["auc"], cell["f1"])
+                rows.append((rate, rep, cell["acc"], cell["auc"], cell["f1"]))
+            except Exception as exc:
+                errors.append({
+                    "rate": rate, "rep": rep, "error": f"{type(exc).__name__}: {exc}",
+                })
+                traceback.print_exc(file=sys.stderr)
+
+    with open(os.path.join(args.out, "results.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["rate", "rep", "acc", "auc", "f1"])
+        for rate, rep, acc, auc_val, f1_val in rows:
+            writer.writerow([rate, rep, "%.17g" % acc, "%.17g" % auc_val, "%.17g" % f1_val])
+
+    aggregate = {
+        "rates": {
+            str(rate): reports[rate].summary() for rate in rates if reports[rate].acc
+        },
+        "reps": args.reps,
+        "seed": args.seed,
+        "test_fraction": test_fraction,
+    }
+    cli._write_json(os.path.join(args.out, "aggregate.json"), aggregate)
+
+    for rate in rates:
+        if reports[rate].acc:
+            s = reports[rate].summary()
+            print(f"rate {rate}: ACC {s['acc']['formatted']}  AUC {s['auc']['formatted']}"
+                  f"  F1 {s['f1']['formatted']}")
+    if errors:
+        cli._write_json(os.path.join(args.out, "errors.json"), errors)
+        print(f"{len(errors)} cells failed; see errors.json", file=sys.stderr)
+        return 2
+    return 0

@@ -1,5 +1,7 @@
 import csv
 import json
+import multiprocessing
+import time
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,19 @@ def fast_config(tmp_path):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def counted(fn, path):
+    """``fn`` that first appends a byte to ``path``: bench cells run in
+    worker processes, so their calls are counted through a file."""
+    path.write_bytes(b"")
+
+    def wrapper(*args):
+        with open(path, "ab") as fh:
+            fh.write(b".")
+        return fn(*args)
+
+    return wrapper
 
 
 class TestSynthAndMask:
@@ -97,6 +112,10 @@ class TestTrainPredict:
         ({"ensemble": {"tol": "inf"}}, "tol must be a real number"),
         ({"ensemble": {"max_iters": 2.5}}, "max_iters must be an integer"),
         ({"representation": {"max_iters": 2.5}}, "max_iters must be an integer"),
+        ({"representation": {"seed": 1.5}}, "seed must be an integer"),
+        ({"representation": {"seed": True}}, "seed must be an integer"),
+        ({"ensemble": {"seed": 1.5}}, "seed must be an integer"),
+        ({"ensemble": {"seed": True}}, "seed must be an integer"),
     ])
     def test_bad_config_is_one_line_error(
         self, synth_manifest, tmp_path, capsys, command, doc, named
@@ -220,9 +239,11 @@ class TestBenchGrid:
     ):
         rc, out = self._bench(synth_manifest, fast_config, tmp_path, grid, "reuse")
         assert rc == 0
-        monkeypatch.setattr(cli, "_select", oracles.select_by_retraining)
+        calls = tmp_path / "select.calls"
+        monkeypatch.setattr(cli, "_select", counted(oracles.select_by_retraining, calls))
         rc, ref = self._bench(synth_manifest, fast_config, tmp_path, grid, "retrain")
         assert rc == 0
+        assert len(calls.read_bytes()) == 4  # the oracle selected in every cell
         for name in ("results.csv", "aggregate.json"):
             assert (out / name).read_bytes() == (ref / name).read_bytes()
 
@@ -230,12 +251,74 @@ class TestBenchGrid:
     def test_stage1_fit_once_per_representation_setting(
         self, synth_manifest, fast_config, tmp_path, monkeypatch, grid, fits_per_cell
     ):
-        fits = []
-        fit = representation.fit
-        monkeypatch.setattr(representation, "fit", lambda *a: fits.append(1) or fit(*a))
+        calls = tmp_path / "fit.calls"
+        monkeypatch.setattr(representation, "fit", counted(representation.fit, calls))
         rc, _ = self._bench(synth_manifest, fast_config, tmp_path, grid, "counted")
         assert rc == 0
+        fits = calls.read_bytes()
         assert len(fits) == 4 * fits_per_cell  # 2 rates x 2 reps
+
+    @pytest.mark.parametrize("config, grid", [
+        ("fast", ENSEMBLE_GRID), ("fast", MIXED_GRID), ("failing", {"ensemble.gamma": [1.0, 4.0]}),
+    ])
+    def test_workers_match_serial_loop(
+        self, synth_manifest, fast_config, tmp_path, monkeypatch, capsys, config, grid
+    ):
+        if config == "failing":  # K larger than any training split: every cell fails
+            fast_config = tmp_path / "failing.json"
+            fast_config.write_text(json.dumps({
+                "representation": {"m": 2, "max_iters": 2, "p": 3},
+                "ensemble": {"K": 500, "max_iters": 3},
+            }))
+        runs = []
+        for name in ("workers", "serial"):
+            if name == "serial":
+                monkeypatch.setattr(cli, "cmd_bench", oracles.bench_serially)
+            rc, out = self._bench(synth_manifest, str(fast_config), tmp_path, grid, name)
+            assert multiprocessing.active_children() == []
+            captured = capsys.readouterr()
+            files = {f: (out / f).read_bytes() if (out / f).exists() else None
+                     for f in ("results.csv", "aggregate.json", "errors.json")}
+            errors = json.loads(files["errors.json"] or "[]")
+            # each failed cell's traceback ends with its error line, in cell order
+            last_lines = [line for line in captured.err.splitlines()
+                          if any(line == e["error"] for e in errors)]
+            runs.append((rc, files, captured.out, last_lines))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (2 if config == "failing" else 0)
+        assert len(runs[0][3]) == (4 if config == "failing" else 0)
+
+    def test_results_in_cell_order_when_a_later_cell_finishes_first(
+        self, synth_manifest, fast_config, tmp_path, monkeypatch
+    ):
+        def first_cell_slow(ds, rate, rep, *args):
+            time.sleep(0.3 if (rate, rep) == (0.1, 0) else 0.0)
+            return {"acc": rate, "auc": rep / 10, "f1": 0.5}
+
+        monkeypatch.setattr(cli, "_run_cell", first_cell_slow)
+        rc, out = self._bench(synth_manifest, fast_config, tmp_path, self.ENSEMBLE_GRID, "order")
+        assert rc == 0
+        rows = [(float(r["rate"]), int(r["rep"]), float(r["acc"]), float(r["auc"]))
+                for r in read_rows(out / "results.csv")]
+        assert rows == [(rate, rep, rate, rep / 10) for rate in (0.1, 0.4) for rep in (0, 1)]
+
+    def test_interrupted_run_stops_and_leaves_no_worker(
+        self, synth_manifest, fast_config, tmp_path, monkeypatch
+    ):
+        calls = tmp_path / "cell.calls"
+
+        def first_cell_interrupted(ds, rate, rep, *args):
+            if (rate, rep) == (0.1, 0):
+                raise KeyboardInterrupt
+            time.sleep(0.2)
+            return {"acc": 1.0, "auc": 1.0, "f1": 1.0}
+
+        monkeypatch.setattr(cli, "_run_cell", counted(first_cell_interrupted, calls))
+        with pytest.raises(KeyboardInterrupt):
+            self._bench(synth_manifest, fast_config, tmp_path, self.ENSEMBLE_GRID, "stopped",
+                        "--reps", "5")
+        assert multiprocessing.active_children() == []
+        assert len(calls.read_bytes()) < 10  # cells not yet started were cancelled
 
     def test_validation_tie_goes_to_first_point(self, synth_manifest):
         # the ensemble seed is unused in training, so points differing only
