@@ -322,15 +322,30 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _read_results_csv(path: str):
-    settings, values = [], {}
+def _read_results_csv(path: str) -> dict:
+    """``{(rate, rep): {metric: value}}`` from a ``bench`` results.csv; a
+    missing column, a short row, a non-numeric cell or a repeated
+    (rate, rep) raises a ValueError naming the file and the line."""
+    values = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        absent = [c for c in ("rate", "rep", "acc", "auc", "f1")
+                  if c not in (reader.fieldnames or [])]
+        if absent:
+            raise ValueError(f"{path}: no column {', '.join(absent)}")
         for row in reader:
-            key = (float(row["rate"]), int(row["rep"]))
-            settings.append(key)
-            values[key] = {m: float(row[m]) for m in ("acc", "auc", "f1")}
-    return settings, values
+            where = f"{path} line {reader.line_num}"
+            if None in row.values():
+                raise ValueError(f"{where}: too few fields")
+            try:
+                key = (float(row["rate"]), int(row["rep"]))
+                scores = {m: float(row[m]) for m in ("acc", "auc", "f1")}
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if key in values:
+                raise ValueError(f"{where}: repeats rate {key[0]}, rep {key[1]}")
+            values[key] = scores
+    return values
 
 
 def cmd_stats(args) -> int:
@@ -344,7 +359,7 @@ def cmd_stats(args) -> int:
     per_algo = []
     key_set = None
     for path in args.results:
-        settings, values = _read_results_csv(path)
+        values = _read_results_csv(path)
         keys = sorted(values)
         if key_set is None:
             key_set = keys
@@ -469,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic planted dataset")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n", type=int, default=200, help="instances")
-    p.add_argument("--dims", default="8,6,5", help="comma-separated view dimensions")
+    p.add_argument("--dims", default="24,20,16", help="comma-separated view dimensions")
     p.add_argument("--latent", type=int, default=4, help="planted latent dimension")
     p.add_argument("--noise", type=float, default=0.01, help="noise standard deviation")
     p.add_argument("--sep", type=float, default=3.0, help="class separation")

@@ -70,15 +70,6 @@ class ViewBlock:
         return ViewBlock(self.name, data, self.present.copy())
 
 
-def indicator(present: np.ndarray) -> np.ndarray:
-    """Diagonal 0/1 indicator matrix with 1 at missing instances.
-
-    The algebraic realization of a presence vector: ``E = diag(~present)``.
-    """
-    present = np.asarray(present, dtype=bool)
-    return np.diag((~present).astype(float))
-
-
 @dataclass
 class MultiViewDataset:
     """V views over N shared instances with integer labels in 0..C-1."""
@@ -123,9 +114,6 @@ class MultiViewDataset:
     def dims(self) -> list:
         return [vb.dim for vb in self.views]
 
-    def view_names(self) -> list:
-        return [vb.name for vb in self.views]
-
     def subset(self, idx: np.ndarray) -> "MultiViewDataset":
         """New dataset restricted to the given instance indices (in order)."""
         idx = np.asarray(idx, dtype=int)
@@ -149,11 +137,6 @@ class NormalizationStats:
         out[:] = (data - lo) / safe
         out[:, const] = 0.5
         return np.clip(out, 0.0, 1.0)
-
-    def inverse_view(self, v: int, data: np.ndarray) -> np.ndarray:
-        """Undo the scaling (exact only where no clamping occurred)."""
-        lo, hi = self.mins[v], self.maxs[v]
-        return data * (hi - lo) + lo
 
 
 # ---------------------------------------------------------------------------

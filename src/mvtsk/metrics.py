@@ -11,21 +11,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
 from scipy.stats import chi2, norm, rankdata
 
 
 # ---------------------------------------------------------------------------
 # Tail probabilities
 # ---------------------------------------------------------------------------
-
-def regularized_gamma_upper(a: float, x: float) -> float:
-    """Q(a, x), the upper regularized incomplete gamma function."""
-    if a <= 0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return float(gammaincc(a, x))
 
 def chi_square_sf(x: float, df: int) -> float:
     """Survival function of the chi-square distribution."""

@@ -271,13 +271,16 @@ def update_common(model: DualRepModel, cfg: DualRepConfig) -> np.ndarray:
 
 def objective(model: DualRepModel, specific_ops, common_ops, cfg: DualRepConfig) -> float:
     """Total loss: squared reconstruction error, orthogonality penalty, and
-    the two graph penalties evaluated on the imputed views."""
+    the two graph penalties evaluated on the imputed views.  The
+    orthogonality term ||Hs_v^T Hc||_F^2 is summed from the m x m Gram
+    matrices as sum((Hs_v Hs_v^T) * (Hc Hc^T)), with no N x N product."""
     total = 0.0
+    common_gram = model.Hc @ model.Hc.T
     for v in range(model.n_views):
         xt = model.Xt[v]
         resid = xt - model.reconstruction(v)
         total += float((resid**2).sum())
-        total += cfg.lam1 * float(((model.Hs[v].T @ model.Hc) ** 2).sum())
+        total += cfg.lam1 * float(((model.Hs[v] @ model.Hs[v].T) * common_gram).sum())
         if isinstance(common_ops, GraphOperators):
             lap = specific_ops[v].laplacian + common_ops.laplacian
             rec = specific_ops[v].reconstruction + common_ops.reconstruction

@@ -249,6 +249,17 @@ def linear_classifier_accuracy(X, labels, n_classes):
     return float(np.mean(pred == labels))
 
 
+def column_mean_fill(ds):
+    """Each view's data with its missing rows set to the column means of its
+    present rows: the reference that joint imputation must beat."""
+    filled = []
+    for vb in ds.views:
+        data = vb.data.copy()
+        data[vb.missing] = data[vb.present].mean(axis=0)
+        filled.append(data)
+    return filled
+
+
 # ---------------------------------------------------------------------------
 # bench grid selection by retraining both stages at every grid point
 # ---------------------------------------------------------------------------

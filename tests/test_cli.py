@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,13 @@ import oracles
 from mvtsk import cli, representation
 from mvtsk.classifier import EnsembleConfig
 from mvtsk.cli import main
-from mvtsk.dataset import gen_synthetic, load_dataset, save_dataset, split_train_test
+from mvtsk.dataset import (
+    DegeneracyWarning,
+    gen_synthetic,
+    load_dataset,
+    save_dataset,
+    split_train_test,
+)
 from mvtsk.representation import DualRepConfig
 
 DATA = Path(__file__).parent / "data"
@@ -61,6 +68,14 @@ class TestSynthAndMask:
                      "--latent", "2", "--seed", "5"]) == 0
         ds = load_dataset(str(out / "manifest.json"))
         assert ds.n_instances == 20 and ds.dims == [3, 4]
+
+    def test_default_synth_trains_under_default_config_without_warning(self, tmp_path):
+        # synth's default view dims are no smaller than DualRepConfig's m
+        data, model = tmp_path / "gen", tmp_path / "model.json"
+        assert main(["synth", "--out", str(data)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegeneracyWarning)
+            assert main(["train", str(data / "manifest.json"), "--out", str(model)]) == 0
 
     def test_mask_rate_zero_all_present(self, synth_manifest, tmp_path):
         out = tmp_path / "masked"
@@ -414,6 +429,22 @@ class TestStats:
             writer.writerow(["rate", "rep", "acc", "auc", "f1"])
             writer.writerow([0.9, 0, 0.5, 0.5, 0.5])
         assert main(["stats", str(a), str(b), "--control", "a"]) == 1
+
+    @pytest.mark.parametrize("lines, message", [
+        (["rate,rep,acc,auc", "0.1,0,0.5,0.5"], "b.csv: no column f1"),
+        (["rate,rep,acc,auc,f1", "0.1,0,0.5,0.5,0.5", "0.1,0,0.9,0.9,0.9"],
+         "b.csv line 3: repeats rate 0.1, rep 0"),
+        (["rate,rep,acc,auc,f1", "0.1,0,0.5,x,0.5"], "b.csv line 2: could not convert"),
+        (["rate,rep,acc,auc,f1", "0.1,0,0.5"], "b.csv line 2: too few fields"),
+    ])
+    def test_malformed_results_name_file_and_line(self, tmp_path, capsys, lines, message):
+        a = tmp_path / "a.csv"
+        self._write_results(a, 0.0)
+        b = tmp_path / "b.csv"
+        b.write_text("\n".join(lines) + "\n")
+        assert main(["stats", str(a), str(b), "--control", "a"]) == 1
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
 
 
 class TestExplain:

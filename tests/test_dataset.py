@@ -13,7 +13,6 @@ from mvtsk.dataset import (
     apply_normalizer,
     fit_normalizer,
     gen_synthetic,
-    indicator,
     load_dataset,
     one_hot,
     save_dataset,
@@ -148,14 +147,6 @@ class TestNormalizer:
         with pytest.raises(DatasetError, match="no observed view"):
             make_ds([[[1.0], [2.0]]], [0, 1], present=[[False, False]])
 
-    def test_roundtrip_identity(self):
-        rng = np.random.default_rng(3)
-        ds = make_ds([rng.uniform(1, 9, size=(7, 4))], [0, 1, 0, 1, 0, 1, 0])
-        stats = fit_normalizer(ds)
-        out = apply_normalizer(ds, stats)
-        back = stats.inverse_view(0, out.views[0].data)
-        assert np.max(np.abs(back - ds.views[0].data)) <= 1e-12
-
 
 class TestMask:
     def test_rate_zero_identity(self):
@@ -264,8 +255,3 @@ class TestSynthetic:
         ds = gen_synthetic(20, 1, [6], 1, 0.0, 1.0, seed=3)
         rank = np.linalg.matrix_rank(ds.views[0].data, tol=1e-8)
         assert rank <= 2
-
-    def test_indicator_matches_presence(self):
-        ds = apply_mask(gen_synthetic(8, 2, [2, 2], 1, 0.1, 1.0, seed=0), 0.4, seed=1)
-        E = indicator(ds.views[0].present)
-        assert np.array_equal(np.diag(E).astype(bool), ds.views[0].missing)

@@ -14,7 +14,6 @@ from mvtsk.metrics import (
     holm_posthoc,
     normal_sf,
     rank_matrix,
-    regularized_gamma_upper,
 )
 
 import oracles
@@ -30,10 +29,6 @@ class TestTails:
 
     def test_chi_square_sf_closed_form_two_df(self):
         assert chi_square_sf(8.0, 2) == pytest.approx(math.exp(-4.0), rel=1e-12)
-
-    def test_gamma_upper_bounds(self):
-        assert regularized_gamma_upper(2.5, 0.0) == 1.0
-        assert 0.0 < regularized_gamma_upper(2.5, 50.0) < 1e-10
 
     @pytest.mark.parametrize("z", [0.0, 0.5, 1.0, 2.0, 3.628149, 5.0])
     def test_normal_sf_vs_scipy(self, z):
