@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -324,8 +325,8 @@ def cmd_bench(args) -> int:
 
 def _read_results_csv(path: str) -> dict:
     """``{(rate, rep): {metric: value}}`` from a ``bench`` results.csv; a
-    missing column, a short row, a non-numeric cell or a repeated
-    (rate, rep) raises a ValueError naming the file and the line."""
+    missing column, a short row, a non-numeric or non-finite cell or a
+    repeated (rate, rep) raises a ValueError naming the file and the line."""
     values = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -342,6 +343,9 @@ def _read_results_csv(path: str) -> dict:
                 scores = {m: float(row[m]) for m in ("acc", "auc", "f1")}
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
+            bad = [c for c, x in (("rate", key[0]), *scores.items()) if not math.isfinite(x)]
+            if bad:
+                raise ValueError(f"{where}: non-finite {', '.join(bad)}")
             if key in values:
                 raise ValueError(f"{where}: repeats rate {key[0]}, rep {key[1]}")
             values[key] = scores

@@ -2,7 +2,14 @@
 
 ACC / AUC / F1 plus the Friedman test (are k algorithms distinguishable
 over n settings?) and the Holm step-down procedure against a control.
-Chi-square and normal tail probabilities come from scipy.
+Chi-square and normal tail probabilities come from ``scipy.special``
+(``chdtrc`` and ``ndtr``, the functions scipy's ``stats`` subpackage itself
+calls), and average ranks are computed in numpy with scipy's formula.  The
+``stats`` subpackage is not imported: loading it costs about 35 MB and 1 s
+in every process that imports this module, ``mvtsk.cli`` included, for two
+tails and one ranking.  The ``scipy.special`` functions are imported at
+module top, not lazily, so that forked ``bench`` workers inherit them
+instead of importing them again.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2, norm, rankdata
+from scipy.special import chdtrc, ndtr
 
 
 # ---------------------------------------------------------------------------
@@ -22,11 +29,32 @@ def chi_square_sf(x: float, df: int) -> float:
     """Survival function of the chi-square distribution."""
     if df < 1:
         raise ValueError("df must be >= 1")
-    return float(chi2.sf(x, df))
+    return float(chdtrc(df, x))
 
 def normal_sf(z: float) -> float:
     """Standard normal survival function 1 - Phi(z)."""
-    return float(norm.sf(z))
+    return float(ndtr(-z))
+
+
+# ---------------------------------------------------------------------------
+# Ranks
+# ---------------------------------------------------------------------------
+
+def rankdata(values) -> np.ndarray:
+    """Ranks of a 1-D array, 1 = smallest, average ranks on ties; equal to
+    scipy's ``rankdata(values)``.  Non-finite input raises ValueError (scipy
+    would return all NaN, a plain sort would rank NaN last)."""
+    values = np.asarray(values, dtype=float).ravel()
+    if not np.isfinite(values).all():
+        raise ValueError("cannot rank non-finite values")
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    dense = starts.cumsum()
+    count = np.r_[np.nonzero(starts)[0], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
+    return ranks
 
 
 # ---------------------------------------------------------------------------

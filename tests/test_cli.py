@@ -1,6 +1,9 @@
 import csv
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -59,6 +62,18 @@ def counted(fn, path):
         return fn(*args)
 
     return wrapper
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about 35 MB and 1 s in every process that loads it
+    code = ("import sys, mvtsk.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestSynthAndMask:
@@ -436,6 +451,9 @@ class TestStats:
          "b.csv line 3: repeats rate 0.1, rep 0"),
         (["rate,rep,acc,auc,f1", "0.1,0,0.5,x,0.5"], "b.csv line 2: could not convert"),
         (["rate,rep,acc,auc,f1", "0.1,0,0.5"], "b.csv line 2: too few fields"),
+        (["rate,rep,acc,auc,f1", "0.1,0,0.5,nan,0.5"], "b.csv line 2: non-finite auc"),
+        (["rate,rep,acc,auc,f1", "0.1,0,0.5,0.5,0.5", "inf,1,-inf,0.5,0.5"],
+         "b.csv line 3: non-finite rate, acc"),
     ])
     def test_malformed_results_name_file_and_line(self, tmp_path, capsys, lines, message):
         a = tmp_path / "a.csv"

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from mvtsk.metrics import (
     MetricReport,
@@ -14,6 +16,7 @@ from mvtsk.metrics import (
     holm_posthoc,
     normal_sf,
     rank_matrix,
+    rankdata,
 )
 
 import oracles
@@ -44,6 +47,46 @@ class TestTails:
         }
         for z, p in printed.items():
             assert abs(2.0 * normal_sf(z) - p) <= 5e-6
+
+    def test_chi_square_sf_equals_scipy_on_grid(self):
+        xs = np.linspace(0.0, 120.0, 481)
+        for df in range(1, 41):
+            ref = st.chi2.sf(xs, df)
+            assert all(chi_square_sf(float(x), df) == r for x, r in zip(xs, ref))
+
+    def test_normal_sf_equals_scipy_on_grid(self):
+        zs = np.linspace(-40.0, 40.0, 4001)
+        ref = st.norm.sf(zs)
+        assert all(normal_sf(float(z)) == r for z, r in zip(zs, ref))
+
+
+# integer-valued floats (with -0.0) force ties; arbitrary finite floats do not
+_rank_values = hst.one_of(
+    hst.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]),
+    hst.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestRankdata:
+    @settings(max_examples=300, deadline=None)
+    @given(hst.lists(_rank_values, min_size=1, max_size=40))
+    def test_equals_scipy(self, values):
+        assert np.array_equal(rankdata(values), st.rankdata(values))
+
+    @pytest.mark.parametrize("values", [
+        [5.0], [0.0, -0.0, 1.0], [3.0, 1.0, 3.0, 3.0, 2.0, 1.0], [2.0, 2.0, 2.0],
+    ])
+    def test_cases_equal_scipy(self, values):
+        assert np.array_equal(rankdata(values), st.rankdata(values))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            rankdata([0.3, bad, 0.1])
+        with pytest.raises(ValueError, match="non-finite"):
+            auc([0, 1, 0], [0.3, bad, 0.1])
+        with pytest.raises(ValueError, match="non-finite"):
+            rank_matrix([[0.3, 0.2], [bad, 0.1]])
 
 
 class TestAccF1:

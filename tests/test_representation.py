@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -475,6 +477,21 @@ class TestFit:
         def cross(m):
             return sum(((m.Hs[v].T @ m.Hc) ** 2).sum() for v in range(m.n_views))
         assert cross(high) < cross(low)
+
+    def test_peak_memory_holds_one_operator_set(self):
+        # below SPARSE_MIN_NODES a set of operators is 2(V+1) = 8 dense N x N
+        # arrays; a refresh must not hold the old set and the new one at once
+        n = 400
+        ds = planted(n=n, dims=(24, 20, 16), m=4, mask=0.5)
+        cfg = small_cfg(m=4, p=30, max_iters=3, tol=0.0)
+        tracemalloc.start()
+        try:
+            model = fit(ds, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(model.objective_trace) == 4
+        assert peak < 14 * n * n * 8
 
     def test_determinism(self):
         ds = planted()
