@@ -105,11 +105,6 @@ def estimate_antecedent(X: np.ndarray, K: int, h: float = 1.0, q_floor: float = 
     return Antecedent(centers, widths)
 
 
-def membership(x: np.ndarray, center: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """Gaussian membership exp(-(x - e)^2 / (2 q)); q > 0."""
-    return np.exp(-((np.asarray(x, dtype=float) - center) ** 2) / (2.0 * width))
-
-
 def _log_firing(X: np.ndarray, ant: Antecedent) -> np.ndarray:
     """N x K matrix of log firing strengths (sums of log memberships)."""
     diff = X[:, None, :] - ant.centers[None, :, :]
@@ -163,17 +158,6 @@ def fuzzy_map(X: np.ndarray, ant: Antecedent) -> np.ndarray:
     mapped = (norm[:, :, None] * xe[:, None, :]).reshape(n, ant.n_rules * (1 + d))
     mapped[(np.abs(mapped) < np.finfo(float).tiny) & (mapped != 0.0)] = 0.0
     return mapped
-
-
-def tsk_output(X_g: np.ndarray, P_g: np.ndarray) -> np.ndarray:
-    """Linearized rule-base output: X_g @ P_g."""
-    X_g = np.atleast_2d(np.asarray(X_g, dtype=float))
-    P_g = np.asarray(P_g, dtype=float)
-    if X_g.shape[1] != P_g.shape[0]:
-        raise ValueError(
-            f"fuzzy feature width {X_g.shape[1]} does not match consequent rows {P_g.shape[0]}"
-        )
-    return X_g @ P_g
 
 
 def rule_consequents(P_g: np.ndarray, d: int) -> np.ndarray:

@@ -15,6 +15,12 @@ dense N x N matrices (``laplacian`` and ``reconstruction_operator``, which
 are also the reference forms).  From that size on it keeps the graph as its
 N p edges in CSR and applies both operators by sparse products in
 O(N p d), never forming an N x N operator (``SparseGraphOperators``).
+
+Stage 1 penalizes each imputed view with the operators of two graphs, the
+view's specific graph and the common one.  ``view_penalty`` joins them into
+one object with ``times``, ``value`` and ``block``, and is the only code
+that depends on the form: a dense pair becomes the single N x N matrix
+lam2 (Ls + Lc) + lam3 (Rs + Rc), a sparse pair is applied from its edges.
 """
 
 from __future__ import annotations
@@ -203,3 +209,53 @@ def build_operators(
         return SparseGraphOperators.from_graph(knn_graph(points, p, bandwidth, sparse_weights=True))
     graph = knn_graph(points, p, bandwidth)
     return GraphOperators(laplacian(graph), reconstruction_operator(graph))
+
+
+@dataclass
+class DensePenalty:
+    """One view's graph penalty as a dense N x N matrix M."""
+
+    matrix: np.ndarray
+
+    def times(self, X: np.ndarray) -> np.ndarray:
+        """M @ X."""
+        return self.matrix @ X
+
+    def value(self, X: np.ndarray) -> float:
+        """tr(X^T M X)."""
+        return float(np.sum(X * (self.matrix @ X)))
+
+    def block(self, rows: np.ndarray) -> np.ndarray:
+        """M[rows, rows], a fresh array."""
+        return self.matrix[np.ix_(rows, rows)]
+
+
+@dataclass
+class SparsePenalty:
+    """One view's graph penalty, applied from the edges of its two graphs:
+    the sum of their ``penalty_times``, ``penalty_value`` and
+    ``penalty_block``."""
+
+    operators: tuple
+    lam2: float
+    lam3: float
+
+    def times(self, X: np.ndarray) -> np.ndarray:
+        return sum(op.penalty_times(X, self.lam2, self.lam3) for op in self.operators)
+
+    def value(self, X: np.ndarray) -> float:
+        return sum(op.penalty_value(X, self.lam2, self.lam3) for op in self.operators)
+
+    def block(self, rows: np.ndarray) -> np.ndarray:
+        return sum(op.penalty_block(rows, self.lam2, self.lam3) for op in self.operators)
+
+
+def view_penalty(specific, common, lam2: float, lam3: float) -> DensePenalty | SparsePenalty:
+    """lam2 (Ls + Lc) + lam3 (Rs + Rc) over a view's specific graph and the
+    common graph, both ``build_operators`` results on the same nodes."""
+    if isinstance(specific, GraphOperators):
+        return DensePenalty(
+            lam2 * (specific.laplacian + common.laplacian)
+            + lam3 * (specific.reconstruction + common.reconstruction)
+        )
+    return SparsePenalty((specific, common), lam2, lam3)

@@ -14,11 +14,12 @@ on the same graphs (lam3).  Every block has a closed-form minimizer, so
 training is plain block coordinate descent; a tiny ridge keeps all systems
 solvable.
 
-Graphs over fewer than ``graphs.SPARSE_MIN_NODES`` instances come as dense
-N x N operators, and the penalties are one dense matrix M2 per view.  Larger
-graphs stay sparse: the objective and the M2 @ X term of the imputation
-update apply each graph's operators from its edges, and only the dense
-missing-row block of M2 is formed for the imputation solve.
+The two graph penalties of view v act through one object per view,
+``graphs.view_penalty`` over its specific graph and the common graph:
+``refresh_graphs`` builds the graphs and returns those V penalties, and the
+imputation update and the objective use only their ``times``, ``value`` and
+``block``.  Whether a penalty is a dense N x N matrix or is applied from
+sparse graph edges is decided in ``graphs``, by the number of instances.
 
 Test-time transform keeps the trained bases frozen and learns only the test
 set's representations and corrections with the same updates.
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mvtsk.dataset import DegeneracyWarning, MultiViewDataset
-from mvtsk.graphs import GraphOperators, SparseGraphOperators, build_operators
+from mvtsk.graphs import build_operators, view_penalty
 
 
 class ConvergenceError(RuntimeError):
@@ -87,6 +88,8 @@ class DualRepConfig:
             raise ValueError("p must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not isinstance(self.tol, numbers.Real) or isinstance(self.tol, bool):
+            raise ValueError(f"tol must be a real number, got {self.tol!r}")
         if self.ridge <= 0:
             raise ValueError("ridge must be positive")
         if self.graph_refresh is not None and not math.isinf(self.graph_refresh):
@@ -182,26 +185,30 @@ def init_model(ds: MultiViewDataset, cfg: DualRepConfig) -> DualRepModel:
     return model
 
 
-def refresh_graphs(model: DualRepModel, cfg: DualRepConfig):
-    """Operators for each specific representation and the common one.
+def refresh_graphs(model: DualRepModel, cfg: DualRepConfig, penalties=None) -> list:
+    """Graph penalty of each view, from graphs over its specific
+    representation and the common one.
 
-    Graph nodes are instances, i.e. columns of the representations.
+    Graph nodes are instances, i.e. columns of the representations.  A
+    previous list of ``penalties`` is refilled in place, each view's old
+    penalty dropped just before its new one is built.  On small graphs a
+    penalty is an N x N array, so the old and new sets are never held
+    together; dropping the whole old set at once would save as much, but the
+    allocator returns it to the OS and the build faults it back in (36.5k
+    minor page faults against 10.3k in a 10-iteration fit at N=400, p=30,
+    3 views).
     """
-    specific_ops = [build_operators(model.Hs[v].T, cfg.p) for v in range(model.n_views)]
-    common_ops = build_operators(model.Hc.T, cfg.p)
-    return specific_ops, common_ops
+    common = build_operators(model.Hc.T, cfg.p)
+    penalties = [None] * model.n_views if penalties is None else penalties
+    for v in range(model.n_views):
+        penalties[v] = None
+        penalties[v] = view_penalty(
+            build_operators(model.Hs[v].T, cfg.p), common, cfg.lam2, cfg.lam3
+        )
+    return penalties
 
 
-def _penalty_matrix(spec_op: GraphOperators, common_op: GraphOperators, cfg: DualRepConfig):
-    return cfg.lam2 * (spec_op.laplacian + common_op.laplacian) + cfg.lam3 * (
-        spec_op.reconstruction + common_op.reconstruction
-    )
-
-
-def update_error(
-    model: DualRepModel, v: int, spec_op: GraphOperators | SparseGraphOperators,
-    common_op: GraphOperators | SparseGraphOperators, cfg: DualRepConfig,
-) -> np.ndarray:
+def update_error(model: DualRepModel, v: int, penalty, cfg: DualRepConfig) -> np.ndarray:
     """Closed-form corrections for view v's missing rows.
 
     Only the missing-row submatrix of the normal equations is solved (the
@@ -213,15 +220,8 @@ def update_error(
     if not miss.any():
         return u
     X = model.X[v]
-    if isinstance(spec_op, GraphOperators):
-        m2 = _penalty_matrix(spec_op, common_op, cfg)
-        m2_x, block = m2 @ X, m2[np.ix_(miss, miss)]
-    else:
-        ops = (spec_op, common_op)
-        m2_x = sum(op.penalty_times(X, cfg.lam2, cfg.lam3) for op in ops)
-        rows = np.flatnonzero(miss)
-        block = sum(op.penalty_block(rows, cfg.lam2, cfg.lam3) for op in ops)
-    rhs_full = model.reconstruction(v) - X - m2_x
+    rhs_full = model.reconstruction(v) - X - penalty.times(X)
+    block = penalty.block(np.flatnonzero(miss))
     diagonal = np.diag_indices_from(block)  # the system is I + block + ridge I
     block[diagonal] += 1.0
     block[diagonal] += cfg.ridge
@@ -269,7 +269,7 @@ def update_common(model: DualRepModel, cfg: DualRepConfig) -> np.ndarray:
     return np.linalg.solve(lhs, rhs)
 
 
-def objective(model: DualRepModel, specific_ops, common_ops, cfg: DualRepConfig) -> float:
+def objective(model: DualRepModel, penalties, cfg: DualRepConfig) -> float:
     """Total loss: squared reconstruction error, orthogonality penalty, and
     the two graph penalties evaluated on the imputed views.  The
     orthogonality term ||Hs_v^T Hc||_F^2 is summed from the m x m Gram
@@ -281,14 +281,7 @@ def objective(model: DualRepModel, specific_ops, common_ops, cfg: DualRepConfig)
         resid = xt - model.reconstruction(v)
         total += float((resid**2).sum())
         total += cfg.lam1 * float(((model.Hs[v] @ model.Hs[v].T) * common_gram).sum())
-        if isinstance(common_ops, GraphOperators):
-            lap = specific_ops[v].laplacian + common_ops.laplacian
-            rec = specific_ops[v].reconstruction + common_ops.reconstruction
-            total += cfg.lam2 * float(np.sum(xt * (lap @ xt)))
-            total += cfg.lam3 * float(np.sum(xt * (rec @ xt)))
-        else:
-            for op in (specific_ops[v], common_ops):
-                total += op.penalty_value(xt, cfg.lam2, cfg.lam3)
+        total += penalties[v].value(xt)
     return total
 
 
@@ -299,31 +292,20 @@ def _should_refresh(iteration: int, cfg: DualRepConfig) -> bool:
 
 
 def _run(model: DualRepModel, cfg: DualRepConfig, update_bases: bool) -> DualRepModel:
-    specific_ops, common_ops = refresh_graphs(model, cfg)
-    trace = [objective(model, specific_ops, common_ops, cfg)]
+    penalties = refresh_graphs(model, cfg)
+    trace = [objective(model, penalties, cfg)]
     for t in range(1, cfg.max_iters + 1):
         if _should_refresh(t, cfg):
-            # replace one graph's operators at a time, dropping the old ones
-            # first: below SPARSE_MIN_NODES each graph holds two dense N x N
-            # arrays, and keeping the old set alive through the build holds
-            # 2(V+1) more of them.  Dropping the whole set at once saves as
-            # much, but the allocator returns it to the OS and the build
-            # faults it back in (25.7k page faults per fit at N=400, against
-            # 11.0k one graph at a time).
-            for v in range(model.n_views):
-                specific_ops[v] = None
-                specific_ops[v] = build_operators(model.Hs[v].T, cfg.p)
-            common_ops = None
-            common_ops = build_operators(model.Hc.T, cfg.p)
+            refresh_graphs(model, cfg, penalties)
         for v in range(model.n_views):
-            model.U[v] = update_error(model, v, specific_ops[v], common_ops, cfg)
+            model.U[v] = update_error(model, v, penalties[v], cfg)
             model.refresh_imputed(v)
             model.Hs[v] = update_specific(model, v, cfg)
             if update_bases:
                 model.Bs[v] = update_specific_basis(model, v, cfg)
                 model.Bc[v] = update_common_basis(model, v, cfg)
         model.Hc = update_common(model, cfg)
-        value = objective(model, specific_ops, common_ops, cfg)
+        value = objective(model, penalties, cfg)
         if not np.isfinite(value):
             raise ConvergenceError(
                 f"objective became non-finite at iteration {t} (trace: {trace[-3:]})"

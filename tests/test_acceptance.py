@@ -24,7 +24,7 @@ from mvtsk.dataset import (
     split_train_test,
 )
 from mvtsk.explain import decision_trace, linguistic_labels
-from mvtsk.fuzzy import Antecedent, estimate_antecedent, firing_matrix, fuzzy_map, tsk_output
+from mvtsk.fuzzy import Antecedent, estimate_antecedent, firing_matrix, fuzzy_map
 from mvtsk.graphs import build_operators, knn_graph, row_normalize
 from mvtsk.representation import (
     DualRepConfig,
@@ -135,14 +135,14 @@ def test_acceptance_02_block_optimality():
     for seed in range(20):
         ds, cfg = random_instance(seed)
         model = init_model(ds, cfg)
-        sops, cops = refresh_graphs(model, cfg)
+        penalties = refresh_graphs(model, cfg)
 
         def J():
-            return objective(model, sops, cops, cfg)
+            return objective(model, penalties, cfg)
 
         # representation blocks: update, gradient-zero, FD agreement
         for v in range(3):
-            model.U[v] = update_error(model, v, sops[v], cops, cfg)
+            model.U[v] = update_error(model, v, penalties[v], cfg)
             model.refresh_imputed(v)
             g = oracles.grad_error(model, v, cfg)
             worst_rel = max(worst_rel, rel(g, model.U[v]))
@@ -150,7 +150,7 @@ def test_acceptance_02_block_optimality():
             if miss.any():
                 def J_u(v=v):
                     model.refresh_imputed(v)
-                    return objective(model, sops, cops, cfg)
+                    return objective(model, penalties, cfg)
                 fd = oracles.central_difference(J_u, model.U[v], mask=miss)
                 model.refresh_imputed(v)
                 worst_fd = max(worst_fd, np.max(np.abs(fd - g)))
@@ -283,7 +283,7 @@ def test_acceptance_05_tsk_equivalence_oracle():
         ant = Antecedent(rng.uniform(size=(K, d)), rng.uniform(0.05, 0.6, size=(K, d)))
         P = rng.normal(size=(K * (1 + d), C))
         X = rng.uniform(size=(6, d))
-        fast = tsk_output(fuzzy_map(X, ant), P)
+        fast = fuzzy_map(X, ant) @ P
         slow = oracles.tsk_rule_by_rule(X, ant.centers, ant.widths, P)
         worst_eq = max(worst_eq, float(np.max(np.abs(fast - slow))))
         _, norm = firing_matrix(X, ant)

@@ -146,6 +146,8 @@ class TestTrainPredict:
         ({"representation": {"seed": True}}, "seed must be an integer"),
         ({"ensemble": {"seed": 1.5}}, "seed must be an integer"),
         ({"ensemble": {"seed": True}}, "seed must be an integer"),
+        ({"representation": {"tol": "abc", "max_iters": 2}}, "tol must be a real number"),
+        ({"representation": {"tol": None, "max_iters": 2}}, "tol must be a real number"),
     ])
     def test_bad_config_is_one_line_error(
         self, synth_manifest, tmp_path, capsys, command, doc, named

@@ -11,8 +11,6 @@ from mvtsk.fuzzy import (
     firing_matrix,
     firing_strengths,
     fuzzy_map,
-    membership,
-    tsk_output,
     varpart_centers,
 )
 
@@ -70,20 +68,6 @@ class TestAntecedent:
         b = estimate_antecedent(X, 4)
         assert np.array_equal(a.centers, b.centers)
         assert np.array_equal(a.widths, b.widths)
-
-
-class TestMembership:
-    def test_peak_at_center(self):
-        assert membership(0.3, 0.3, 0.2) == 1.0
-
-    def test_analytic_point(self):
-        # (x - e)^2 = 2 q  ->  exp(-1)
-        assert membership(2.0, 0.0, 2.0) == pytest.approx(np.exp(-1), abs=1e-12)
-
-    def test_monotone_in_distance(self):
-        xs = np.linspace(0, 1, 11)
-        vals = membership(xs, 0.0, 0.1)
-        assert np.all(np.diff(vals) < 0)
 
 
 class TestFiring:
@@ -162,22 +146,14 @@ class TestFuzzyMap:
 
 
 class TestTskOutput:
-    def test_zero_consequent(self):
-        X = np.random.default_rng(5).uniform(size=(4, 2))
-        ant = estimate_antecedent(X, 2)
-        Xg = fuzzy_map(X, ant)
-        assert np.all(tsk_output(Xg, np.zeros((Xg.shape[1], 3))) == 0.0)
+    """The linearized rule-base output fuzzy_map(X) @ P."""
 
     def test_single_rule_affine_model(self):
         X = np.array([[0.0], [1.0], [2.0]])
         ant = estimate_antecedent(X, 1)
         P = np.array([[3.0], [2.0]])  # bias 3, slope 2
-        out = tsk_output(fuzzy_map(X, ant), P)
+        out = fuzzy_map(X, ant) @ P
         assert np.allclose(out[:, 0], 3.0 + 2.0 * X[:, 0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            tsk_output(np.ones((2, 4)), np.ones((5, 1)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_rule_based_equals_linearized(self, seed):
@@ -186,6 +162,6 @@ class TestTskOutput:
         ant = Antecedent(rng.uniform(size=(K, d)), rng.uniform(0.05, 0.6, size=(K, d)))
         P = rng.normal(size=(K * (1 + d), C))
         X = rng.uniform(size=(8, d))
-        fast = tsk_output(fuzzy_map(X, ant), P)
+        fast = fuzzy_map(X, ant) @ P
         slow = oracles.tsk_rule_by_rule(X, ant.centers, ant.widths, P)
         assert np.max(np.abs(fast - slow)) <= 1e-10

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from mvtsk import graphs
 from mvtsk.dataset import DegeneracyWarning
 from mvtsk.graphs import (
+    DensePenalty,
     GraphOperators,
     SparseGraphOperators,
+    SparsePenalty,
     build_operators,
     knn_graph,
     laplacian,
     reconstruction_operator,
     row_normalize,
+    view_penalty,
 )
 
 import oracles
@@ -268,3 +271,47 @@ class TestSparseOperators:
         assert isinstance(build_operators(pts, 4), GraphOperators)
         monkeypatch.setattr(graphs, "SPARSE_MIN_NODES", 12)
         assert isinstance(build_operators(pts, 4), SparseGraphOperators)
+
+
+class TestViewPenalty:
+    """Both forms of a view's penalty against the dense reference sum over
+    its specific and common graphs."""
+
+    POINT_SETS = TestSparseOperators.POINT_SETS
+
+    @pytest.mark.parametrize("threshold, kind", [(10**9, DensePenalty), (0, SparsePenalty)],
+                             ids=["dense", "sparse"])
+    @pytest.mark.parametrize("specific", list(TestSparseOperators.POINT_SETS))
+    @pytest.mark.parametrize("bandwidth", ["median", 1e-3])
+    def test_matches_dense_reference(self, monkeypatch, threshold, kind, specific, bandwidth):
+        # bandwidth 1e-3 underflows most affinities to zero, leaving zero rows
+        common = next(k for k in self.POINT_SETS if k != specific)
+        spec_pts, common_pts = self.POINT_SETS[specific], self.POINT_SETS[common]
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(len(spec_pts), 4))
+        rows = np.flatnonzero(rng.uniform(size=len(spec_pts)) < 0.5)
+        monkeypatch.setattr(graphs, "SPARSE_MIN_NODES", threshold)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneracyWarning)
+            penalty = view_penalty(build_operators(spec_pts, 6, bandwidth),
+                                   build_operators(common_pts, 6, bandwidth), 0.7, 1.3)
+            M = (dense_penalty(spec_pts, 6, 0.7, 1.3, bandwidth)
+                 + dense_penalty(common_pts, 6, 0.7, 1.3, bandwidth))
+        assert isinstance(penalty, kind)
+        assert np.allclose(penalty.times(X), M @ X, rtol=0, atol=1e-12)
+        assert penalty.value(X) == pytest.approx(np.sum(X * (M @ X)), rel=1e-12)
+        block = penalty.block(rows)
+        assert np.allclose(block, M[np.ix_(rows, rows)], rtol=0, atol=1e-12)
+        block += 1.0  # a fresh array: writing to it leaves the penalty as it was
+        assert np.allclose(penalty.block(rows), M[np.ix_(rows, rows)], rtol=0, atol=1e-12)
+
+    def test_dense_form_is_one_matrix_in_reference_order(self):
+        pts = self.POINT_SETS["random"]
+        other = np.random.default_rng(25).normal(size=pts.shape)
+        gs, gc = knn_graph(pts, 4), knn_graph(other, 4)
+        penalty = view_penalty(build_operators(pts, 4), build_operators(other, 4), 0.7, 1.3)
+        want = 0.7 * (laplacian(gs) + laplacian(gc)) + 1.3 * (
+            reconstruction_operator(gs) + reconstruction_operator(gc)
+        )
+        assert list(vars(penalty)) == ["matrix"]
+        assert np.array_equal(penalty.matrix, want)

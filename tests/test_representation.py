@@ -12,7 +12,7 @@ from mvtsk.dataset import (
     fit_normalizer,
     gen_synthetic,
 )
-from mvtsk.graphs import SparseGraphOperators, knn_graph, laplacian
+from mvtsk.graphs import SparsePenalty, knn_graph, laplacian, reconstruction_operator
 from mvtsk.representation import (
     DualRepConfig,
     fit,
@@ -59,6 +59,11 @@ class TestConfig:
     def test_non_integer_counts_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             DualRepConfig(**{field: value})
+
+    @pytest.mark.parametrize("tol", ["abc", None, True, [1e-6]])
+    def test_non_real_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be a real number"):
+            DualRepConfig(tol=tol)
 
     def test_numpy_integers_and_infinite_refresh_accepted(self):
         cfg = DualRepConfig(m=np.int64(3), p=np.int32(4), graph_refresh=float("inf"))
@@ -107,24 +112,38 @@ class TestInit:
             init_model(ds, small_cfg(m=5))
 
 
+def reference_penalty(model, v, cfg):
+    """View v's dense penalty lam2 (Ls + Lc) + lam3 (Rs + Rc), from the
+    reference operator functions on freshly built graphs."""
+    gs = knn_graph(model.Hs[v].T, cfg.p)
+    gc = knn_graph(model.Hc.T, cfg.p)
+    return cfg.lam2 * (laplacian(gs) + laplacian(gc)) + cfg.lam3 * (
+        reconstruction_operator(gs) + reconstruction_operator(gc)
+    )
+
+
 class TestGraphRefresh:
     def test_two_instances(self):
         ds = planted(n=2, mask=0.0, dims=(3, 3, 3))
-        model = init_model(ds, small_cfg(p=5))
-        sops, _ = refresh_graphs(model, small_cfg(p=5))
-        graph = knn_graph(model.Hs[0].T, small_cfg(p=5).p)
-        assert np.array_equal(sops[0].laplacian, laplacian(graph))
+        cfg = small_cfg(p=5)
+        model = init_model(ds, cfg)
+        penalties = refresh_graphs(model, cfg)
+        graph = knn_graph(model.Hs[0].T, cfg.p)
+        assert np.array_equal(penalties[0].matrix, reference_penalty(model, 0, cfg))
         assert (graph.weights > 0).sum() == 2  # one neighbor each way
 
     def test_constant_representation_fallback(self):
         ds = planted()
-        model = init_model(ds, small_cfg())
+        cfg = small_cfg()
+        model = init_model(ds, cfg)
         model.Hc = np.ones_like(model.Hc)
         with pytest.warns(DegeneracyWarning):
-            _, cops = refresh_graphs(model, small_cfg())
+            penalties = refresh_graphs(model, cfg)
         with pytest.warns(DegeneracyWarning):
-            graph = knn_graph(model.Hc.T, small_cfg().p)
-        assert np.array_equal(cops.laplacian, laplacian(graph))
+            graph = knn_graph(model.Hc.T, cfg.p)
+            want = [reference_penalty(model, v, cfg) for v in range(model.n_views)]
+        for penalty, expected in zip(penalties, want):
+            assert np.array_equal(penalty.matrix, expected)
         nz = graph.weights[graph.weights > 0]
         assert np.all(nz == 1.0)
 
@@ -133,8 +152,30 @@ class TestGraphRefresh:
         model = init_model(ds, small_cfg())
         a = refresh_graphs(model, small_cfg())
         b = refresh_graphs(model, small_cfg())
-        assert np.array_equal(a[1].laplacian, b[1].laplacian)
-        assert np.array_equal(a[0][0].reconstruction, b[0][0].reconstruction)
+        for pa, pb in zip(a, b, strict=True):
+            assert np.array_equal(pa.matrix, pb.matrix)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_dense_penalty_is_the_reference_sum(self, seed):
+        ds = planted(seed=80 + seed, mask_seed=90 + seed)
+        cfg = small_cfg()
+        model = init_model(ds, cfg)
+        penalties = refresh_graphs(model, cfg)
+        assert len(penalties) == model.n_views
+        for v, penalty in enumerate(penalties):
+            assert np.array_equal(penalty.matrix, reference_penalty(model, v, cfg))
+
+    def test_refill_replaces_every_penalty_in_place(self):
+        ds = planted()
+        cfg = small_cfg()
+        model = init_model(ds, cfg)
+        penalties = refresh_graphs(model, cfg)
+        old = list(penalties)
+        model.Hc = model.Hc[:, ::-1].copy()
+        assert refresh_graphs(model, cfg, penalties) is penalties
+        for v, penalty in enumerate(penalties):
+            assert penalty is not old[v]
+            assert np.array_equal(penalty.matrix, reference_penalty(model, v, cfg))
 
 
 class TestBlockUpdates:
@@ -145,25 +186,43 @@ class TestBlockUpdates:
         ds = planted(seed=int(rng.integers(1e6)), mask_seed=int(rng.integers(1e6)))
         cfg = small_cfg(**cfg_over)
         model = init_model(ds, cfg)
-        sops, cops = refresh_graphs(model, cfg)
-        return model, sops, cops, cfg
+        penalties = refresh_graphs(model, cfg)
+        return model, penalties, cfg
 
     @pytest.mark.parametrize("seed", range(4))
     def test_error_update_zero_gradient(self, seed):
-        model, sops, cops, cfg = self._ready_model(seed)
+        model, penalties, cfg = self._ready_model(seed)
         for v in range(model.n_views):
-            model.U[v] = update_error(model, v, sops[v], cops, cfg)
+            model.U[v] = update_error(model, v, penalties[v], cfg)
             model.refresh_imputed(v)
             grad = oracles.grad_error(model, v, cfg)
             rel = np.linalg.norm(grad) / (1.0 + np.linalg.norm(model.U[v]))
             assert rel <= 1e-6
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_error_update_is_the_reference_solve(self, seed):
+        # dense path: bit for bit the solve through the penalty built from
+        # the reference operators, with the ridge added after the identity
+        model, penalties, cfg = self._ready_model(60 + seed)
+        for v in range(model.n_views):
+            miss = model.missing[v]
+            assert miss.any()
+            M = reference_penalty(model, v, cfg)
+            X = model.X[v]
+            rhs = model.reconstruction(v) - X - M @ X
+            system = M[np.ix_(miss, miss)]
+            system[np.diag_indices_from(system)] += 1.0
+            system[np.diag_indices_from(system)] += cfg.ridge
+            want = np.zeros_like(X)
+            want[miss] = np.linalg.solve(system, rhs[miss])
+            assert np.array_equal(update_error(model, v, penalties[v], cfg), want)
+
     def test_error_update_no_missing_rows(self):
         ds = planted(mask=0.0)
         cfg = small_cfg()
         model = init_model(ds, cfg)
-        sops, cops = refresh_graphs(model, cfg)
-        u = update_error(model, 0, sops[0], cops, cfg)
+        penalties = refresh_graphs(model, cfg)
+        u = update_error(model, 0, penalties[0], cfg)
         assert np.all(u == 0.0)
         model.refresh_imputed(0)
         assert np.array_equal(model.Xt[0], ds.views[0].data)
@@ -173,9 +232,9 @@ class TestBlockUpdates:
         ds = planted(mask=0.4)
         cfg = small_cfg(lam2=0.0, lam3=0.0)
         model = init_model(ds, cfg)
-        sops, cops = refresh_graphs(model, cfg)
+        penalties = refresh_graphs(model, cfg)
         v = 0
-        model.U[v] = update_error(model, v, sops[v], cops, cfg)
+        model.U[v] = update_error(model, v, penalties[v], cfg)
         model.refresh_imputed(v)
         miss = model.missing[v]
         recon = model.reconstruction(v)
@@ -183,7 +242,7 @@ class TestBlockUpdates:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_specific_update_zero_gradient(self, seed):
-        model, sops, cops, cfg = self._ready_model(10 + seed)
+        model, penalties, cfg = self._ready_model(10 + seed)
         for v in range(model.n_views):
             model.Hs[v] = update_specific(model, v, cfg)
             grad = oracles.grad_specific(model, v, cfg)
@@ -202,7 +261,7 @@ class TestBlockUpdates:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_basis_updates_zero_gradient(self, seed):
-        model, sops, cops, cfg = self._ready_model(20 + seed)
+        model, penalties, cfg = self._ready_model(20 + seed)
         for v in range(model.n_views):
             model.Bs[v] = update_specific_basis(model, v, cfg)
             g = oracles.grad_specific_basis(model, v, cfg)
@@ -212,17 +271,17 @@ class TestBlockUpdates:
             assert np.linalg.norm(g) / (1.0 + np.linalg.norm(model.Bc[v])) <= 1e-6
 
     def test_zero_specific_rep_gives_zero_basis(self):
-        model, sops, cops, cfg = self._ready_model(30)
+        model, penalties, cfg = self._ready_model(30)
         model.Hs[0] = np.zeros_like(model.Hs[0])
         assert np.allclose(update_specific_basis(model, 0, cfg), 0.0)
 
     def test_zero_common_rep_gives_zero_basis(self):
-        model, sops, cops, cfg = self._ready_model(31)
+        model, penalties, cfg = self._ready_model(31)
         model.Hc = np.zeros_like(model.Hc)
         assert np.allclose(update_common_basis(model, 0, cfg), 0.0)
 
     def test_residual_orthogonal_to_specific_rows(self):
-        model, sops, cops, cfg = self._ready_model(32)
+        model, penalties, cfg = self._ready_model(32)
         v = 0
         model.Bs[v] = update_specific_basis(model, v, cfg)
         resid = model.Xt[v] - model.reconstruction(v)
@@ -230,7 +289,7 @@ class TestBlockUpdates:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_common_update_zero_gradient(self, seed):
-        model, sops, cops, cfg = self._ready_model(40 + seed)
+        model, penalties, cfg = self._ready_model(40 + seed)
         model.Hc = update_common(model, cfg)
         g = oracles.grad_common(model, cfg)
         assert np.linalg.norm(g) / (1.0 + np.linalg.norm(model.Hc)) <= 1e-6
@@ -246,15 +305,15 @@ class TestBlockUpdates:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_each_update_never_increases_frozen_objective(self, seed):
-        model, sops, cops, cfg = self._ready_model(50 + seed)
+        model, penalties, cfg = self._ready_model(50 + seed)
 
         def J():
-            return rep_objective(model, sops, cops, cfg)
+            return rep_objective(model, penalties, cfg)
 
         tol = 1e-8 * max(abs(J()), 1.0)
         for v in range(model.n_views):
             before = J()
-            model.U[v] = update_error(model, v, sops[v], cops, cfg)
+            model.U[v] = update_error(model, v, penalties[v], cfg)
             model.refresh_imputed(v)
             assert J() <= before + tol
             before = J()
@@ -275,10 +334,10 @@ class TestBlockUpdates:
         ds = planted(n=6, dims=(3, 3, 4), mask=0.34, mask_seed=9)
         cfg = small_cfg()
         model = init_model(ds, cfg)
-        sops, cops = refresh_graphs(model, cfg)
+        penalties = refresh_graphs(model, cfg)
 
         def J():
-            return objective(model, sops, cops, cfg)
+            return objective(model, penalties, cfg)
 
         v = 0
         fd = oracles.central_difference(J, model.Hs[v])
@@ -294,7 +353,7 @@ class TestBlockUpdates:
         if miss.any():
             def J_u():
                 model.refresh_imputed(v)
-                return objective(model, sops, cops, cfg)
+                return objective(model, penalties, cfg)
             fd = oracles.central_difference(J_u, model.U[v], mask=miss)
             model.refresh_imputed(v)
             assert np.max(np.abs(fd - oracles.grad_error(model, v, cfg))) <= 1e-4
@@ -312,9 +371,9 @@ class TestObjective:
         for v in range(model.n_views):
             model.Xt[v] = model.reconstruction(v)
             model.X[v] = model.Xt[v].copy()
-        sops, cops = refresh_graphs(model, cfg)
+        penalties = refresh_graphs(model, cfg)
         scale = sum(float((x**2).sum()) for x in model.Xt)
-        assert objective(model, sops, cops, cfg) <= 1e-18 * max(scale, 1.0)
+        assert objective(model, penalties, cfg) <= 1e-18 * max(scale, 1.0)
 
     def test_orthogonal_reps_kill_lam1_term(self):
         ds = planted(n=4, dims=(2, 2, 2), mask=0.0)
@@ -326,18 +385,18 @@ class TestObjective:
             # Hs^T Hc = outer(ones, zeros)-ish: rows of Hs orthogonal to rows of Hc
             model.Hs[v][1] = 0.0
             model.Hs[v][0] = 0.0
-        sops, cops = refresh_graphs(model, cfg)
-        with_term = objective(model, sops, cops, cfg)
+        penalties = refresh_graphs(model, cfg)
+        with_term = objective(model, penalties, cfg)
         cfg0 = small_cfg(m=2, lam1=0.0, lam2=0.0, lam3=0.0)
-        assert with_term == pytest.approx(objective(model, sops, cops, cfg0), abs=1e-12)
+        assert with_term == pytest.approx(objective(model, penalties, cfg0), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_double_sum_oracle(self, seed):
         ds = planted(n=7, dims=(3, 4, 3), seed=50 + seed, mask=0.3)
         cfg = small_cfg()
         model = init_model(ds, cfg)
-        sops, cops = refresh_graphs(model, cfg)
-        fast = objective(model, sops, cops, cfg)
+        penalties = refresh_graphs(model, cfg)
+        fast = objective(model, penalties, cfg)
         slow = oracles.slow_representation_objective(model, cfg)
         assert fast == pytest.approx(slow, abs=1e-8 * max(1.0, abs(slow)))
 
@@ -345,8 +404,8 @@ class TestObjective:
         ds = planted()
         cfg = small_cfg()
         model = init_model(ds, cfg)
-        sops, cops = refresh_graphs(model, cfg)
-        assert objective(model, sops, cops, cfg) >= -1e-10
+        penalties = refresh_graphs(model, cfg)
+        assert objective(model, penalties, cfg) >= -1e-10
 
 
 def assert_agree(got, want, tol=1e-10):
@@ -392,10 +451,10 @@ class TestSparseGraphs:
         cfg = small_cfg()
         model = init_model(ds, cfg)
         monkeypatch.setattr(graphs, "SPARSE_MIN_NODES", 7)
-        sops, cops = refresh_graphs(model, cfg)
-        assert isinstance(cops, SparseGraphOperators)
+        penalties = refresh_graphs(model, cfg)
+        assert all(isinstance(penalty, SparsePenalty) for penalty in penalties)
         slow = oracles.slow_representation_objective(model, cfg)
-        assert objective(model, sops, cops, cfg) == pytest.approx(
+        assert objective(model, penalties, cfg) == pytest.approx(
             slow, abs=1e-8 * max(1.0, abs(slow))
         )
 
@@ -403,17 +462,17 @@ class TestSparseGraphs:
         ds = planted(n=graphs.SPARSE_MIN_NODES + 10, mask=0.5)
         cfg = small_cfg(p=10)
         model = init_model(ds, cfg)
-        sops, cops = refresh_graphs(model, cfg)
-        assert isinstance(cops, SparseGraphOperators)
+        penalties = refresh_graphs(model, cfg)
+        assert all(isinstance(penalty, SparsePenalty) for penalty in penalties)
         monkeypatch.setattr(graphs, "SPARSE_MIN_NODES", 10**9)
-        dense_ops = refresh_graphs(model, cfg)
+        dense = refresh_graphs(model, cfg)
         for v in range(model.n_views):
-            model.U[v] = update_error(model, v, sops[v], cops, cfg)
+            model.U[v] = update_error(model, v, penalties[v], cfg)
             model.refresh_imputed(v)
             grad = oracles.grad_error(model, v, cfg)
             assert np.linalg.norm(grad) / (1.0 + np.linalg.norm(model.U[v])) <= 1e-6
-        want = objective(model, *dense_ops, cfg)
-        assert objective(model, sops, cops, cfg) == pytest.approx(want, rel=1e-12)
+        want = objective(model, dense, cfg)
+        assert objective(model, penalties, cfg) == pytest.approx(want, rel=1e-12)
 
 
 class TestFit:
@@ -479,8 +538,9 @@ class TestFit:
         assert cross(high) < cross(low)
 
     def test_peak_memory_holds_one_operator_set(self):
-        # below SPARSE_MIN_NODES a set of operators is 2(V+1) = 8 dense N x N
-        # arrays; a refresh must not hold the old set and the new one at once
+        # below SPARSE_MIN_NODES the graph penalties are V = 3 dense N x N
+        # arrays, one per view; a refresh must not hold the old set and the
+        # new one at once, nor keep the graphs' own operators
         n = 400
         ds = planted(n=n, dims=(24, 20, 16), m=4, mask=0.5)
         cfg = small_cfg(m=4, p=30, max_iters=3, tol=0.0)
@@ -491,7 +551,10 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert len(model.objective_trace) == 4
-        assert peak < 14 * n * n * 8
+        assert peak < 10 * n * n * 8
+        penalties = refresh_graphs(model, cfg)
+        held = [a for p in penalties for a in vars(p).values() if isinstance(a, np.ndarray)]
+        assert sum(a.size for a in held) == model.n_views * n * n
 
     def test_determinism(self):
         ds = planted()
