@@ -26,7 +26,7 @@ import numpy as np
 
 from mvtsk.dataset import MultiViewDataset
 from mvtsk.fuzzy import estimate_antecedent, fuzzy_map
-from mvtsk.representation import DualRepModel, require_integers
+from mvtsk.representation import BatchRepresentation, DualRepModel, require_integers
 
 
 @dataclass
@@ -94,11 +94,11 @@ class ViewEnsemble:
         return len(self.roles)
 
 
-def design_matrices(rep: DualRepModel, cfg: EnsembleConfig):
+def design_matrices(rep: DualRepModel | BatchRepresentation, cfg: EnsembleConfig):
     """Raw (unmapped) design matrices and their role names.
 
-    ``rep`` is a trained model or a transform of new data: the imputed views
-    Xt, then the common representation Hc and the concatenated specific
+    ``rep`` (a trained model or a ``transform`` of new data) gives the imputed
+    views Xt, then the common representation Hc and the concatenated specific
     representations Hs as instances x features.  The imputed views are named
     view0, view1, ...; ``fit`` names them after the dataset's views.
     """
@@ -242,8 +242,8 @@ def predict_design(ensemble: ViewEnsemble, design: list):
     return scores, np.argmax(scores, axis=1)
 
 
-def predict(ensemble: ViewEnsemble, rep_result: DualRepModel):
+def predict(ensemble: ViewEnsemble, rep_result: BatchRepresentation):
     """Scores and labels for data that ``representation.transform`` has
-    imputed and represented."""
+    imputed and represented; each row's scores depend on that row alone."""
     design, _ = design_matrices(rep_result, ensemble.config)
     return predict_design(ensemble, design)

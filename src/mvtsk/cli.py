@@ -448,9 +448,9 @@ def cmd_explain(args) -> int:
         _write_json(os.path.join(args.out, "rules.json"), report)
 
     if args.instance is not None:
-        rep_result = _pipeline.transform_dataset(model, ds)
+        rep_result = _pipeline.transform_dataset(model, ds.subset([args.instance]))
         design, _ = _classifier.design_matrices(rep_result, model.ensemble.config)
-        x = design[view_index][args.instance]
+        x = design[view_index][0]
         trace = _explain.decision_trace(model.ensemble, view_index, x)
         print(f"\nInstance {args.instance} on view '{roles[view_index]}':")
         for k in range(trace.firing.size):

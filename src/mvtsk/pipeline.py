@@ -27,7 +27,7 @@ from mvtsk.dataset import (
     one_hot,
 )
 from mvtsk.fuzzy import Antecedent
-from mvtsk.representation import DualRepConfig, DualRepModel, RepBases
+from mvtsk.representation import BatchRepresentation, DualRepConfig, RepBases
 
 
 @dataclass
@@ -36,7 +36,8 @@ class Stage1Model:
     representation model, which is all ``transform_dataset`` reads.
 
     ``rep_model`` is the full ``DualRepModel`` after training and the frozen
-    ``RepBases`` after loading from a file.
+    ``RepBases`` after loading from a file; ``transform_dataset`` reads only
+    its bases, column means and ``config.ridge``, and represents each row alone.
     """
 
     view_names: list
@@ -84,7 +85,7 @@ def train_model(
     return train_ensemble(train_representation(ds, rep_cfg), ds, ens_cfg)
 
 
-def transform_dataset(model: Stage1Model, ds: MultiViewDataset) -> DualRepModel:
+def transform_dataset(model: Stage1Model, ds: MultiViewDataset) -> BatchRepresentation:
     """Normalize and represent a new dataset under the trained model."""
     if ds.dims != model.view_dims:
         for name, want, got in zip(model.view_names, model.view_dims, ds.dims):

@@ -21,8 +21,10 @@ imputation update and the objective use only their ``times``, ``value`` and
 ``block``.  Whether a penalty is a dense N x N matrix or is applied from
 sparse graph edges is decided in ``graphs``, by the number of instances.
 
-Test-time transform keeps the trained bases frozen and learns only the test
-set's representations and corrections with the same updates.
+The test-time ``transform`` is one row-local linear solve under the frozen
+bases, with no graph, random start or iteration.  The orthogonality term
+couples a batch's rows, so it is training-only; at lam1=1 this scored 0.778
+mean held-out accuracy against 0.772 for the old iterative transform (README).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from mvtsk.dataset import DegeneracyWarning, MultiViewDataset
 from mvtsk.graphs import build_operators, view_penalty
@@ -105,8 +108,8 @@ class RepBases:
     """Frozen stage-1 state: all that ``transform`` reads.
 
     Bs[v]/Bc[v]   specific and common bases, m x d_v
-    col_means[v]  per-feature means over present training rows; they seed
-                  the imputation of unseen data
+    col_means[v]  per-feature means over present training rows; they fill
+                  the missing rows of unseen data before the solve
     """
 
     Bs: list
@@ -291,7 +294,11 @@ def _should_refresh(iteration: int, cfg: DualRepConfig) -> bool:
     return cfg.graph_refresh is not None and (iteration - 1) % cfg.graph_refresh == 0
 
 
-def _run(model: DualRepModel, cfg: DualRepConfig, update_bases: bool) -> DualRepModel:
+def fit(ds: MultiViewDataset, cfg: DualRepConfig) -> DualRepModel:
+    """Block coordinate descent until the objective change is below tol or
+    max_iters is reached.  The trace records the initial objective followed
+    by one value per iteration."""
+    model = init_model(ds, cfg)
     penalties = refresh_graphs(model, cfg)
     trace = [objective(model, penalties, cfg)]
     for t in range(1, cfg.max_iters + 1):
@@ -301,9 +308,8 @@ def _run(model: DualRepModel, cfg: DualRepConfig, update_bases: bool) -> DualRep
             model.U[v] = update_error(model, v, penalties[v], cfg)
             model.refresh_imputed(v)
             model.Hs[v] = update_specific(model, v, cfg)
-            if update_bases:
-                model.Bs[v] = update_specific_basis(model, v, cfg)
-                model.Bc[v] = update_common_basis(model, v, cfg)
+            model.Bs[v] = update_specific_basis(model, v, cfg)
+            model.Bc[v] = update_common_basis(model, v, cfg)
         model.Hc = update_common(model, cfg)
         value = objective(model, penalties, cfg)
         if not np.isfinite(value):
@@ -317,43 +323,35 @@ def _run(model: DualRepModel, cfg: DualRepConfig, update_bases: bool) -> DualRep
     return model
 
 
-def fit(ds: MultiViewDataset, cfg: DualRepConfig) -> DualRepModel:
-    """Block coordinate descent until the objective change is below tol or
-    max_iters is reached.  The trace records the initial objective followed
-    by one value per iteration."""
-    return _run(init_model(ds, cfg), cfg, update_bases=True)
+@dataclass
+class BatchRepresentation:
+    """Unseen data under frozen bases, all that ``classifier.design_matrices``
+    reads: imputed views Xt[v] (N x d_v), Hs[v] and Hc (m x N)."""
+
+    Xt: list
+    Hs: list
+    Hc: np.ndarray
 
 
-def transform(bases: RepBases, ds: MultiViewDataset, cfg: DualRepConfig | None = None) -> DualRepModel:
-    """Impute and represent unseen data under frozen bases.
+def transform(bases: RepBases, ds: MultiViewDataset) -> BatchRepresentation:
+    """Impute and represent unseen data under frozen bases, each row alone.
 
-    Only the new data's corrections and representations are learned; graphs
-    are rebuilt from the new representations on the training schedule.
-    Missing rows warm-start at the training feature means.  The result
-    shares its basis arrays with ``bases``, which it never writes.
+    Missing view rows are filled with the training column means, giving x~.
+    With A the m(V+1) x sum(d_v) stack of the bases (block v holds Bs^v in
+    view v's columns, the last block every Bc^v), one solve gives the ridge
+    least-squares H = (A A^T + ridge I)^-1 A x~^T for the whole batch, and
+    the missing rows of Xt get the reconstruction A^T H, per view
+    Hs^v.T Bs^v + Hc.T Bc^v.
     """
-    cfg = bases.config if cfg is None else cfg
-    dims = [b.shape[1] for b in bases.Bs]
-    if [vb.dim for vb in ds.views] != dims:
-        raise ValueError(
-            f"view dimensions {[vb.dim for vb in ds.views]} do not match the "
-            f"trained model {dims}"
-        )
-    rng = np.random.default_rng(cfg.seed)
-    n = ds.n_instances
-    X, missing, Hs, U, Xt = [], [], [], [], []
-    for v, vb in enumerate(ds.views):
-        X.append(vb.data.copy())
-        missing.append(vb.missing.copy())
-        Hs.append(rng.uniform(size=(cfg.m, n)))
-        u = np.zeros((n, vb.dim))
-        u[vb.missing] = bases.col_means[v]
-        U.append(u)
-        Xt.append(None)
-    Hc = rng.uniform(size=(cfg.m, n))
-    state = DualRepModel(
-        list(bases.Bs), list(bases.Bc), bases.col_means, cfg, X, missing, Hs, U, Hc, Xt
-    )
-    for v in range(state.n_views):
-        state.refresh_imputed(v)
-    return _run(state, cfg, update_bases=False)
+    dims, got = [b.shape[1] for b in bases.Bs], [vb.dim for vb in ds.views]
+    if got != dims:
+        raise ValueError(f"view dimensions {got} do not match the trained model {dims}")
+    A = np.vstack([block_diag(*bases.Bs), np.hstack(bases.Bc)])
+    filled = np.hstack([
+        np.where(vb.missing[:, None], mu, vb.data) for vb, mu in zip(ds.views, bases.col_means)
+    ])
+    H = np.linalg.solve(A @ A.T + bases.config.ridge * np.eye(len(A)), A @ filled.T)
+    recon = np.split(H.T @ A, np.cumsum(dims)[:-1], axis=1)
+    Xt = [np.where(vb.missing[:, None], r, vb.data) for vb, r in zip(ds.views, recon)]
+    *Hs, Hc = np.split(H, bases.n_views + 1)
+    return BatchRepresentation(Xt, Hs, Hc)

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import oracles
-from mvtsk import cli, representation
+from mvtsk import classifier, cli, explain, pipeline, representation
 from mvtsk.classifier import EnsembleConfig
 from mvtsk.cli import main
 from mvtsk.dataset import (
     DegeneracyWarning,
+    apply_mask,
     gen_synthetic,
     load_dataset,
     save_dataset,
@@ -482,6 +483,24 @@ class TestExplain:
         trace = json.loads((out / "trace.json").read_text())
         total = np.array(trace["contributions"]).sum(axis=0)
         assert np.max(np.abs(total - np.array(trace["combined"]))) <= 1e-12
+
+    def test_instance_trace_matches_whole_manifest_transform(self, fast_config, tmp_path):
+        ds = apply_mask(gen_synthetic(60, 3, [6, 5, 4], 2, 0.05, 6.0, seed=3), 0.4, seed=4)
+        manifest = save_dataset(ds, str(tmp_path / "data"))
+        model_path = tmp_path / "model.json"
+        main(["train", manifest, "--config", fast_config, "--out", str(model_path)])
+        out = tmp_path / "explain"
+        assert main(["explain", str(model_path), "--view", "specific",
+                     "--manifest", manifest, "--instance", "7", "--out", str(out)]) == 0
+        trace = json.loads((out / "trace.json").read_text())
+        model = pipeline.load_model(str(model_path))
+        rep = pipeline.transform_dataset(model, load_dataset(manifest))
+        design, roles = classifier.design_matrices(rep, model.ensemble.config)
+        index = roles.index("specific")
+        whole = explain.decision_trace(model.ensemble, index, design[index][7])
+        for key in ("firing", "rule_outputs", "contributions", "combined", "decision"):
+            assert np.max(np.abs(np.array(trace[key]) - getattr(whole, key))) <= 1e-12
+        assert trace["dominant_rule"] == whole.dominant_rule
 
     @pytest.mark.parametrize("instance", ["60", "999", "-1"])
     def test_instance_out_of_range_errors(

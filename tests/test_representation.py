@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -574,7 +575,7 @@ class TestTransform:
         train_data_term = sum(
             ((model.Xt[v] - model.reconstruction(v)) ** 2).sum() for v in range(2)
         )
-        result = transform(model, dsn, cfg)
+        result = transform(model, dsn)
         te_term = 0.0
         for v in range(2):
             recon = result.Hs[v].T @ model.Bs[v] + result.Hc.T @ model.Bc[v]
@@ -587,8 +588,15 @@ class TestTransform:
         test_ds = planted(mask=0.0, seed=99)
         result = transform(model, test_ds)
         for v in range(2):
-            assert np.all(result.U[v] == 0.0)
             assert np.array_equal(result.Xt[v], test_ds.views[v].data)
+        # masked test data: present rows as given, missing rows reconstructed
+        test_ds = planted(mask=0.4, seed=99)
+        result = transform(model, test_ds)
+        for v, vb in enumerate(test_ds.views):
+            recon = result.Hs[v].T @ model.Bs[v] + result.Hc.T @ model.Bc[v]
+            assert vb.missing.any()
+            assert np.array_equal(result.Xt[v][vb.present], vb.data[vb.present])
+            assert np.allclose(result.Xt[v][vb.missing], recon[vb.missing], rtol=0, atol=1e-12)
 
     def test_single_missing_instance_bounded(self):
         train = planted(n=30, mask=0.2, seed=41, mask_seed=42)
@@ -617,4 +625,25 @@ class TestTransform:
         b = transform(model, test_ds)
         assert np.array_equal(a.Hc, b.Hc)
         for v in range(3):
+            assert np.array_equal(a.Xt[v], b.Xt[v])
+
+    @pytest.mark.parametrize(
+        "over",
+        [dict(lam1=3.0), dict(lam2=3.0), dict(lam3=3.0), dict(p=1), dict(max_iters=1),
+         dict(tol=0.5), dict(graph_refresh=None), dict(seed=123)],
+        ids=lambda over: next(iter(over)),
+    )
+    def test_reads_only_ridge_from_config(self, over):
+        model = fit(planted(), small_cfg(max_iters=3))
+        test_ds = planted(seed=88, mask_seed=89)
+
+        def with_config(**fields):
+            return dataclasses.replace(model, config=dataclasses.replace(model.config, **fields))
+
+        a = transform(model, test_ds)
+        b = transform(with_config(**over), test_ds)
+        c = transform(with_config(ridge=1.0), test_ds)
+        assert np.array_equal(a.Hc, b.Hc) and not np.array_equal(a.Hc, c.Hc)
+        for v in range(3):
+            assert np.array_equal(a.Hs[v], b.Hs[v])
             assert np.array_equal(a.Xt[v], b.Xt[v])
